@@ -36,6 +36,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -94,7 +95,7 @@ func main() {
 		workers       = flag.Int("workers", 8, "concurrent workers for -mode negotiate")
 		ops           = flag.Int("ops", 20000, "negotiations per worker per phase for -mode negotiate")
 		exp           = flag.String("exp", "all", "experiment id: table1|fig9a|fig9b|fig10|fig10d|fig11a|fig11b|fig11c|headline|capacity|timeline|premise|session|all")
-		clients       = flag.String("clients", "1,25,50,100,150,200,250,300", "comma-separated client counts for fig9a/fig9b")
+		clients       = flag.String("clients", defaultClients, "comma-separated client counts for fig9a/fig9b")
 		pages         = flag.Int("pages", 0, "override corpus size (default: the paper's 75)")
 		seed          = flag.Int64("seed", 0, "override workload seed")
 		edges         = flag.Int("edges", 0, "override CDN edgeserver count")
@@ -187,22 +188,8 @@ func main() {
 		fatal(err)
 	}
 
-	run := map[string]func() (section, error){
-		"table1":   func() (section, error) { return runTable1(s) },
-		"fig9a":    func() (section, error) { return runFig9a(s, counts) },
-		"fig9b":    func() (section, error) { return runFig9b(s, counts) },
-		"fig10":    func() (section, error) { return runFig10(s, true) },
-		"fig10d":   func() (section, error) { return runFig10(s, false) },
-		"fig11a":   func() (section, error) { return runFig11a(s) },
-		"fig11b":   func() (section, error) { return runFig11(s, true) },
-		"fig11c":   func() (section, error) { return runFig11(s, false) },
-		"headline": func() (section, error) { return runHeadline(s) },
-		"capacity": func() (section, error) { return runCapacity(s) },
-		"timeline": func() (section, error) { return runTimeline(s) },
-		"premise":  func() (section, error) { return runPremise(cfg.Seed) },
-		"session":  func() (section, error) { return runSession(s, cfg.SessionRequests) },
-	}
-	order := []string{"table1", "fig9a", "fig9b", "fig10", "fig10d", "fig11a", "fig11b", "fig11c", "headline", "capacity", "timeline", "premise", "session"}
+	run := experiments(s, cfg, counts)
+	order := experimentOrder
 
 	var ids []string
 	if *exp == "all" {
@@ -265,10 +252,38 @@ func main() {
 }
 
 // print renders the section in the original human-readable text format.
-func (s section) print() {
-	fmt.Printf("\n== %s ==\n", s.Title)
+func (s section) print() { s.write(os.Stdout) }
+
+// write renders the section to w.
+func (s section) write(w io.Writer) {
+	fmt.Fprintf(w, "\n== %s ==\n", s.Title)
 	for _, row := range s.Rows {
-		fmt.Println(row)
+		fmt.Fprintln(w, row)
+	}
+}
+
+// defaultClients is the paper's client-count sweep for fig9a/fig9b.
+const defaultClients = "1,25,50,100,150,200,250,300"
+
+// experimentOrder is the -exp all order, the order of figures_output.txt.
+var experimentOrder = []string{"table1", "fig9a", "fig9b", "fig10", "fig10d", "fig11a", "fig11b", "fig11c", "headline", "capacity", "timeline", "premise", "session"}
+
+// experiments maps each experiment id to its runner over one platform.
+func experiments(s *experiment.Setup, cfg experiment.SetupConfig, counts []int) map[string]func() (section, error) {
+	return map[string]func() (section, error){
+		"table1":   func() (section, error) { return runTable1(s) },
+		"fig9a":    func() (section, error) { return runFig9a(s, counts) },
+		"fig9b":    func() (section, error) { return runFig9b(s, counts) },
+		"fig10":    func() (section, error) { return runFig10(s, true) },
+		"fig10d":   func() (section, error) { return runFig10(s, false) },
+		"fig11a":   func() (section, error) { return runFig11a(s) },
+		"fig11b":   func() (section, error) { return runFig11(s, true) },
+		"fig11c":   func() (section, error) { return runFig11(s, false) },
+		"headline": func() (section, error) { return runHeadline(s) },
+		"capacity": func() (section, error) { return runCapacity(s) },
+		"timeline": func() (section, error) { return runTimeline(s) },
+		"premise":  func() (section, error) { return runPremise(cfg.Seed) },
+		"session":  func() (section, error) { return runSession(s, cfg.SessionRequests) },
 	}
 }
 

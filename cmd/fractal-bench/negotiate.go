@@ -149,7 +149,7 @@ func runNegotiate(workers, ops int) (section, error) {
 }
 
 // negotiateSession runs one client-side Figure 4 exchange, pipelined: the
-// INIT_REQ (advertising the binary fast path) and the CLI_META_REP are
+// INIT_REQ and the CLI_META_REP are
 // queued and flushed as one vectored write, so the whole session costs one
 // write and one read burst in the steady state.
 func negotiateSession(addr string, env core.Env) error {
@@ -159,7 +159,7 @@ func negotiateSession(addr string, env core.Env) error {
 	}
 	defer conn.Close()
 	c := inp.NewConn(conn)
-	if err := c.Queue(inp.MsgInitReq, inp.InitReq{AppID: "webapp", Resource: "page-000", WireVersion: inp.Version2}); err != nil {
+	if err := c.Queue(inp.MsgInitReq, inp.InitReq{AppID: "webapp", Resource: "page-000"}); err != nil {
 		return err
 	}
 	if err := c.Queue(inp.MsgCliMetaRep, inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75}); err != nil {

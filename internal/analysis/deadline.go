@@ -14,6 +14,7 @@ var deadlineScope = map[string]bool{
 	"fractal/internal/client":          true,
 	"fractal/internal/proxy":           true,
 	"fractal/internal/appserver":       true,
+	"fractal/internal/cdn":             true,
 	"fractal/internal/inp":             true,
 	"fractal/internal/inp/conformance": true,
 }
@@ -55,8 +56,8 @@ func runDeadline(pass *Pass) {
 }
 
 // armsDeadline reports whether the function body contains any call that
-// arms an I/O bound: a *Deadline setter (SetReadDeadline, SetDeadline, the
-// repo's armDeadline helpers) or inp.Conn's SetTimeout.
+// arms an I/O bound: a *Deadline setter (SetReadDeadline, SetDeadline) or
+// inp.Conn's SetTimeout.
 func armsDeadline(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {

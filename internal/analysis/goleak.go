@@ -13,6 +13,8 @@ import (
 // stall. Harness and simulation packages spawn plenty of goroutines too,
 // but their lifetimes end with the test process.
 var goleakScope = map[string]bool{
+	"fractal/internal/appserver":       true,
+	"fractal/internal/cdn":             true,
 	"fractal/internal/client":          true,
 	"fractal/internal/proxy":           true,
 	"fractal/internal/fleet":           true,

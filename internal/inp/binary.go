@@ -10,197 +10,146 @@ import (
 	"fractal/internal/core"
 )
 
-// Binary body fast-path. JSON stays the wire default for inspectability,
-// but the hot session bodies — the application exchange (AppReq/AppRep,
-// PADDownloadReq/Rep) and the negotiation burst (InitReq/InitRep,
-// CliMetaReq/CliMetaRep, PADMetaRep) — gain a hand-rolled binary codec
-// behind a negotiated version flag: requests advertise decode capability
-// in their (JSON-ignored) WireVersion field, and a peer that has proven
-// Version2 support receives hot bodies as Version2 frames. Old peers
-// never see a v2 frame and new peers fall back to JSON transparently,
-// pinned semantically identical by differential round-trip fuzz
-// (FuzzBinaryBodyDifferential).
-//
-// Wire format: strings are uvarint length + bytes; byte slices, string
-// slices, and meta arrays use a presence-aware prefix (0 = nil, n+1 = n
-// elements) so nil and empty survive the round trip exactly as JSON's
-// null vs ""/[] do; ints are signed varints; float64s are 8 fixed
-// big-endian IEEE-754 bytes; digests are raw fixed-width bytes.
+// The INP body codec. Every message body is encoded field by field:
+// strings are uvarint length + bytes; byte slices, string slices, and
+// meta arrays use a presence-aware prefix (0 = nil, n+1 = n elements) so
+// nil and empty survive the round trip exactly; ints are signed varints;
+// float64s are 8 fixed big-endian IEEE-754 bytes; digests are raw
+// fixed-width bytes. Each body type names its own message type, so a
+// body staged under the wrong type is refused before it reaches the wire.
 
-const (
-	// Version2 is the binary-body protocol revision. Headers carry it only
-	// on frames whose body uses the binary codec; everything else stays
-	// JSON at Version.
-	Version2 = 2
-	// spliceMin is the smallest []byte field worth splicing as its own
-	// writev vector instead of copying into the assembly buffer.
-	spliceMin = 4 << 10
-)
+// spliceMin is the smallest []byte field worth splicing as its own writev
+// vector instead of copying into the assembly buffer.
+const spliceMin = 4 << 10
 
-// binaryMsgType reports whether t's body has a binary codec.
-func binaryMsgType(t MsgType) bool {
-	switch t {
-	case MsgAppReq, MsgAppRep, MsgPADDownloadReq, MsgPADDownloadRep,
-		MsgInitReq, MsgInitRep, MsgCliMetaReq, MsgCliMetaRep, MsgPADMetaRep:
-		return true
-	}
-	return false
+// wireBody is a message body the codec can encode. Value receivers put
+// the methods in both T's and *T's method sets, so bodies may be staged
+// by value or by pointer.
+type wireBody interface {
+	msgType() MsgType
+	appendTo(fw *FrameWriter)
 }
 
-// binaryEncodable reports whether body is a value the binary codec for t
-// understands (the matching struct, by value or pointer).
-func binaryEncodable(t MsgType, body interface{}) bool {
-	switch t {
-	case MsgAppReq:
-		switch body.(type) {
-		case AppReq, *AppReq:
-			return true
-		}
-	case MsgAppRep:
-		switch body.(type) {
-		case AppRep, *AppRep:
-			return true
-		}
-	case MsgPADDownloadReq:
-		switch body.(type) {
-		case PADDownloadReq, *PADDownloadReq:
-			return true
-		}
-	case MsgPADDownloadRep:
-		switch body.(type) {
-		case PADDownloadRep, *PADDownloadRep:
-			return true
-		}
-	case MsgInitReq:
-		switch body.(type) {
-		case InitReq, *InitReq:
-			return true
-		}
-	case MsgInitRep:
-		switch body.(type) {
-		case InitRep, *InitRep:
-			return true
-		}
-	case MsgCliMetaReq:
-		switch body.(type) {
-		case CliMetaReq, *CliMetaReq:
-			return true
-		}
-	case MsgCliMetaRep:
-		switch body.(type) {
-		case CliMetaRep, *CliMetaRep:
-			return true
-		}
-	case MsgPADMetaRep:
-		switch body.(type) {
-		case PADMetaRep, *PADMetaRep:
-			return true
-		}
-	}
-	return false
+// wireDecoder is the decode half, implemented on pointers. It takes the
+// raw body rather than a shared reader so each decoder's reader stays on
+// its own stack frame.
+type wireDecoder interface {
+	msgType() MsgType
+	decodeFrom(raw []byte) error
 }
 
-// appendFrameBinary appends one complete Version2 frame. On error every
+// appendFrame appends one complete frame. On error every
 // queued-but-unfinished byte (including splice vectors) is rolled back so
 // the batch survives intact.
 //
-//fractal:hotpath binary bodies are assembled here on every hot exchange
-func (fw *FrameWriter) appendFrameBinary(h Header, body interface{}) error {
-	es := fw.state()
-	start := es.buf.Len()
-	vecs, ext := len(fw.vecs), fw.extLen
-	es.buf.Write(zeroHeader[:]) // reserve the header slot
-	if err := fw.appendBinaryBody(h.Type, body); err != nil {
-		es.buf.SetBytes(es.buf.Bytes()[:start])
-		fw.vecs = fw.vecs[:vecs]
-		fw.extLen = ext
-		return err
+//fractal:hotpath every frame is assembled here
+func (fw *FrameWriter) appendFrame(h Header, body interface{}) error {
+	wb, ok := body.(wireBody)
+	if !ok || wb.msgType() != h.Type {
+		return fmt.Errorf("inp: no codec for %v body of type %T", h.Type, body)
 	}
-	n := es.buf.Len() - start - headerLen + (fw.extLen - ext)
+	start := fw.buf.Len()
+	vecs, ext := len(fw.vecs), fw.extLen
+	fw.buf.Write(zeroHeader[:]) // reserve the header slot
+	wb.appendTo(fw)
+	n := fw.buf.Len() - start - headerLen + (fw.extLen - ext)
 	if n > MaxBody {
-		es.buf.SetBytes(es.buf.Bytes()[:start])
+		fw.buf.SetBytes(fw.buf.Bytes()[:start])
 		fw.vecs = fw.vecs[:vecs]
 		fw.extLen = ext
 		return fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
 	}
-	patchHeader(es.buf.Bytes()[start:start+headerLen], h, uint32(n))
+	patchHeader(fw.buf.Bytes()[start:start+headerLen], h, uint32(n))
 	return nil
 }
 
-// appendBinaryBody dispatches to the per-type field encoders.
-func (fw *FrameWriter) appendBinaryBody(t MsgType, body interface{}) error {
-	switch t {
-	case MsgAppReq:
-		if m, ok := toAppReq(body); ok {
-			fw.appendString(m.AppID)
-			fw.appendString(m.Resource)
-			fw.appendStrings(m.ProtocolIDs)
-			fw.appendInt(m.HaveVersion)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgAppRep:
-		if m, ok := toAppRep(body); ok {
-			fw.appendString(m.Resource)
-			fw.appendInt(m.Version)
-			fw.appendString(m.PADID)
-			fw.appendBlob(m.Payload)
-			return nil
-		}
-	case MsgPADDownloadReq:
-		if m, ok := toPADDownloadReq(body); ok {
-			fw.appendString(m.PADID)
-			fw.appendString(m.URL)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgPADDownloadRep:
-		if m, ok := toPADDownloadRep(body); ok {
-			fw.appendString(m.PADID)
-			fw.appendBlob(m.Module)
-			return nil
-		}
-	case MsgInitReq:
-		if m, ok := toInitReq(body); ok {
-			fw.appendString(m.AppID)
-			fw.appendString(m.Resource)
-			fw.appendString(m.ClientID)
-			fw.appendInt(m.WireVersion)
-			return nil
-		}
-	case MsgInitRep:
-		if m, ok := toInitRep(body); ok {
-			fw.appendBool(m.OK)
-			fw.appendString(m.Reason)
-			return nil
-		}
-	case MsgCliMetaReq:
-		if m, ok := toCliMetaReq(body); ok {
-			fw.appendDevMeta(&m.Dev)
-			fw.appendNtwkMeta(&m.Ntwk)
-			return nil
-		}
-	case MsgCliMetaRep:
-		if m, ok := toCliMetaRep(body); ok {
-			fw.appendDevMeta(&m.Dev)
-			fw.appendNtwkMeta(&m.Ntwk)
-			fw.appendInt(m.SessionRequests)
-			return nil
-		}
-	case MsgPADMetaRep:
-		if m, ok := toPADMetaRep(body); ok {
-			if m.PADs == nil {
-				fw.appendUvarint(0)
-				return nil
-			}
-			fw.appendUvarint(uint64(len(m.PADs)) + 1)
-			for i := range m.PADs {
-				fw.appendPADMeta(&m.PADs[i])
-			}
-			return nil
-		}
+var zeroHeader [headerLen]byte
+
+func (AppReq) msgType() MsgType         { return MsgAppReq }
+func (AppRep) msgType() MsgType         { return MsgAppRep }
+func (PADDownloadReq) msgType() MsgType { return MsgPADDownloadReq }
+func (PADDownloadRep) msgType() MsgType { return MsgPADDownloadRep }
+func (InitReq) msgType() MsgType        { return MsgInitReq }
+func (InitRep) msgType() MsgType        { return MsgInitRep }
+func (CliMetaReq) msgType() MsgType     { return MsgCliMetaReq }
+func (CliMetaRep) msgType() MsgType     { return MsgCliMetaRep }
+func (PADMetaRep) msgType() MsgType     { return MsgPADMetaRep }
+func (ErrorRep) msgType() MsgType       { return MsgError }
+func (AppMetaPush) msgType() MsgType    { return MsgAppMetaPush }
+func (AppMetaAck) msgType() MsgType     { return MsgAppMetaAck }
+
+func (m AppReq) appendTo(fw *FrameWriter) {
+	fw.appendString(m.AppID)
+	fw.appendString(m.Resource)
+	fw.appendStrings(m.ProtocolIDs)
+	fw.appendInt(m.HaveVersion)
+}
+
+func (m AppRep) appendTo(fw *FrameWriter) {
+	fw.appendString(m.Resource)
+	fw.appendInt(m.Version)
+	fw.appendString(m.PADID)
+	fw.appendBlob(m.Payload)
+}
+
+func (m PADDownloadReq) appendTo(fw *FrameWriter) {
+	fw.appendString(m.PADID)
+	fw.appendString(m.URL)
+}
+
+func (m PADDownloadRep) appendTo(fw *FrameWriter) {
+	fw.appendString(m.PADID)
+	fw.appendBlob(m.Module)
+}
+
+func (m InitReq) appendTo(fw *FrameWriter) {
+	fw.appendString(m.AppID)
+	fw.appendString(m.Resource)
+	fw.appendString(m.ClientID)
+}
+
+func (m InitRep) appendTo(fw *FrameWriter) {
+	fw.appendBool(m.OK)
+	fw.appendString(m.Reason)
+}
+
+func (m CliMetaReq) appendTo(fw *FrameWriter) {
+	fw.appendDevMeta(&m.Dev)
+	fw.appendNtwkMeta(&m.Ntwk)
+}
+
+func (m CliMetaRep) appendTo(fw *FrameWriter) {
+	fw.appendDevMeta(&m.Dev)
+	fw.appendNtwkMeta(&m.Ntwk)
+	fw.appendInt(m.SessionRequests)
+}
+
+func (m PADMetaRep) appendTo(fw *FrameWriter) { fw.appendPADMetas(m.PADs) }
+
+func (m ErrorRep) appendTo(fw *FrameWriter) { fw.appendString(m.Message) }
+
+func (m AppMetaPush) appendTo(fw *FrameWriter) {
+	fw.appendString(m.App.AppID)
+	fw.appendPADMetas(m.App.PADs)
+}
+
+func (m AppMetaAck) appendTo(fw *FrameWriter) {
+	fw.appendBool(m.OK)
+	fw.appendString(m.Reason)
+}
+
+// appendPADMetas encodes a presence-aware PAD metadata array.
+//
+//fractal:hotpath PAD metadata arrays ride every PAD_META_REP
+func (fw *FrameWriter) appendPADMetas(pads []core.PADMeta) {
+	if pads == nil {
+		fw.appendUvarint(0)
+		return
 	}
-	return fmt.Errorf("inp: no binary codec for %v body of type %T", t, body)
+	fw.appendUvarint(uint64(len(pads)) + 1)
+	for i := range pads {
+		fw.appendPADMeta(&pads[i])
+	}
 }
 
 //fractal:hotpath device metadata rides every negotiation burst
@@ -227,101 +176,11 @@ func (fw *FrameWriter) appendPADMeta(p *core.PADMeta) {
 	fw.appendInt64(int64(p.Overhead.ClientCompStd))
 	fw.appendInt64(p.Overhead.TrafficBytes)
 	fw.appendInt64(p.Overhead.UpstreamBytes)
-	fw.es.buf.Write(p.Digest[:])
+	fw.buf.Write(p.Digest[:])
 	fw.appendString(p.URL)
 	fw.appendString(p.Parent)
 	fw.appendStrings(p.Children)
 	fw.appendString(p.Alias)
-}
-
-func toAppReq(body interface{}) (*AppReq, bool) {
-	switch m := body.(type) {
-	case *AppReq:
-		return m, true
-	case AppReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toAppRep(body interface{}) (*AppRep, bool) {
-	switch m := body.(type) {
-	case *AppRep:
-		return m, true
-	case AppRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADDownloadReq(body interface{}) (*PADDownloadReq, bool) {
-	switch m := body.(type) {
-	case *PADDownloadReq:
-		return m, true
-	case PADDownloadReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADDownloadRep(body interface{}) (*PADDownloadRep, bool) {
-	switch m := body.(type) {
-	case *PADDownloadRep:
-		return m, true
-	case PADDownloadRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toInitReq(body interface{}) (*InitReq, bool) {
-	switch m := body.(type) {
-	case *InitReq:
-		return m, true
-	case InitReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toInitRep(body interface{}) (*InitRep, bool) {
-	switch m := body.(type) {
-	case *InitRep:
-		return m, true
-	case InitRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toCliMetaReq(body interface{}) (*CliMetaReq, bool) {
-	switch m := body.(type) {
-	case *CliMetaReq:
-		return m, true
-	case CliMetaReq:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toCliMetaRep(body interface{}) (*CliMetaRep, bool) {
-	switch m := body.(type) {
-	case *CliMetaRep:
-		return m, true
-	case CliMetaRep:
-		return &m, true
-	}
-	return nil, false
-}
-
-func toPADMetaRep(body interface{}) (*PADMetaRep, bool) {
-	switch m := body.(type) {
-	case *PADMetaRep:
-		return m, true
-	case PADMetaRep:
-		return &m, true
-	}
-	return nil, false
 }
 
 // --- encode primitives ---
@@ -330,21 +189,21 @@ func toPADMetaRep(body interface{}) (*PADMetaRep, bool) {
 func (fw *FrameWriter) appendUvarint(x uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], x)
-	fw.es.buf.Write(tmp[:n])
+	fw.buf.Write(tmp[:n])
 }
 
 //fractal:hotpath signed fields are appended here
 func (fw *FrameWriter) appendInt(v int) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], int64(v))
-	fw.es.buf.Write(tmp[:n])
+	fw.buf.Write(tmp[:n])
 }
 
 //fractal:hotpath 64-bit counters and durations are appended here
 func (fw *FrameWriter) appendInt64(v int64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], v)
-	fw.es.buf.Write(tmp[:n])
+	fw.buf.Write(tmp[:n])
 }
 
 //fractal:hotpath boolean fields are appended here
@@ -353,7 +212,7 @@ func (fw *FrameWriter) appendBool(v bool) {
 	if v {
 		b = 1
 	}
-	fw.es.buf.WriteByte(b)
+	fw.buf.WriteByte(b)
 }
 
 // appendFloat encodes f as 8 fixed big-endian IEEE-754 bytes — unlike
@@ -363,13 +222,13 @@ func (fw *FrameWriter) appendBool(v bool) {
 func (fw *FrameWriter) appendFloat(f float64) {
 	var tmp [8]byte
 	binary.BigEndian.PutUint64(tmp[:], math.Float64bits(f))
-	fw.es.buf.Write(tmp[:])
+	fw.buf.Write(tmp[:])
 }
 
 //fractal:hotpath string fields are appended here
 func (fw *FrameWriter) appendString(s string) {
 	fw.appendUvarint(uint64(len(s)))
-	fw.es.buf.WriteString(s)
+	fw.buf.WriteString(s)
 }
 
 // appendBlob encodes b with a presence-aware prefix (0 = nil, n+1 = n
@@ -387,7 +246,7 @@ func (fw *FrameWriter) appendBlob(b []byte) {
 		fw.splice(b)
 		return
 	}
-	fw.es.buf.Write(b)
+	fw.buf.Write(b)
 }
 
 //fractal:hotpath protocol-id lists are appended here
@@ -412,6 +271,14 @@ var errBinTruncated = errors.New("truncated field")
 type binReader struct {
 	b   []byte
 	off int
+}
+
+// end reports a decode error, or trailing bytes after the last field.
+func (r *binReader) end(err error) error {
+	if err == nil && r.off != len(r.b) {
+		return fmt.Errorf("%d trailing bytes", len(r.b)-r.off)
+	}
+	return err
 }
 
 func (r *binReader) uvarint() (uint64, error) {
@@ -521,93 +388,22 @@ func (r *binReader) strs() ([]string, error) {
 	return out, nil
 }
 
-// DecodeRaw decodes a raw body returned by Recv into v according to the
-// header's wire version: Version2 bodies use the binary codec, all
-// others JSON.
+// DecodeRaw decodes a raw body returned by Recv into v, which must be a
+// pointer to the body struct of h's message type. Trailing bytes are
+// rejected.
 func DecodeRaw(h Header, raw []byte, v interface{}) error {
-	if h.Version >= Version2 {
-		return decodeBinaryBody(h.Type, raw, v)
+	d, ok := v.(wireDecoder)
+	if !ok || d.msgType() != h.Type {
+		return fmt.Errorf("inp: decoding %v body into %T", h.Type, v)
 	}
-	return DecodeBody(raw, v)
-}
-
-// decodeBinaryBody decodes a Version2 raw body into v, which must be a
-// pointer to the matching struct. Trailing bytes are rejected.
-func decodeBinaryBody(t MsgType, raw []byte, v interface{}) error {
-	r := binReader{b: raw}
-	var err error
-	ok := true
-	switch t {
-	case MsgAppReq:
-		if m, isT := v.(*AppReq); isT {
-			err = r.decodeAppReq(m)
-		} else {
-			ok = false
-		}
-	case MsgAppRep:
-		if m, isT := v.(*AppRep); isT {
-			err = r.decodeAppRep(m)
-		} else {
-			ok = false
-		}
-	case MsgPADDownloadReq:
-		if m, isT := v.(*PADDownloadReq); isT {
-			err = r.decodePADDownloadReq(m)
-		} else {
-			ok = false
-		}
-	case MsgPADDownloadRep:
-		if m, isT := v.(*PADDownloadRep); isT {
-			err = r.decodePADDownloadRep(m)
-		} else {
-			ok = false
-		}
-	case MsgInitReq:
-		if m, isT := v.(*InitReq); isT {
-			err = r.decodeInitReq(m)
-		} else {
-			ok = false
-		}
-	case MsgInitRep:
-		if m, isT := v.(*InitRep); isT {
-			err = r.decodeInitRep(m)
-		} else {
-			ok = false
-		}
-	case MsgCliMetaReq:
-		if m, isT := v.(*CliMetaReq); isT {
-			err = r.decodeCliMetaReq(m)
-		} else {
-			ok = false
-		}
-	case MsgCliMetaRep:
-		if m, isT := v.(*CliMetaRep); isT {
-			err = r.decodeCliMetaRep(m)
-		} else {
-			ok = false
-		}
-	case MsgPADMetaRep:
-		if m, isT := v.(*PADMetaRep); isT {
-			err = r.decodePADMetaRep(m)
-		} else {
-			ok = false
-		}
-	default:
-		return fmt.Errorf("inp: no binary codec for %v", t)
-	}
-	if !ok {
-		return fmt.Errorf("inp: decoding %v binary body into %T", t, v)
-	}
-	if err != nil {
-		return fmt.Errorf("inp: decoding %v binary body: %w", t, err)
-	}
-	if r.off != len(raw) {
-		return fmt.Errorf("inp: %v binary body has %d trailing bytes", t, len(raw)-r.off)
+	if err := d.decodeFrom(raw); err != nil {
+		return fmt.Errorf("inp: decoding %v body: %w", h.Type, err)
 	}
 	return nil
 }
 
-func (r *binReader) decodeAppReq(m *AppReq) (err error) {
+func (m *AppReq) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.AppID, err = r.str(); err != nil {
 		return err
 	}
@@ -617,14 +413,12 @@ func (r *binReader) decodeAppReq(m *AppReq) (err error) {
 	if m.ProtocolIDs, err = r.strs(); err != nil {
 		return err
 	}
-	if m.HaveVersion, err = r.int_(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
+	m.HaveVersion, err = r.int_()
+	return r.end(err)
 }
 
-func (r *binReader) decodeAppRep(m *AppRep) (err error) {
+func (m *AppRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.Resource, err = r.str(); err != nil {
 		return err
 	}
@@ -635,48 +429,96 @@ func (r *binReader) decodeAppRep(m *AppRep) (err error) {
 		return err
 	}
 	m.Payload, err = r.blob()
-	return err
+	return r.end(err)
 }
 
-func (r *binReader) decodePADDownloadReq(m *PADDownloadReq) (err error) {
+func (m *PADDownloadReq) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.PADID, err = r.str(); err != nil {
 		return err
 	}
-	if m.URL, err = r.str(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
+	m.URL, err = r.str()
+	return r.end(err)
 }
 
-func (r *binReader) decodePADDownloadRep(m *PADDownloadRep) (err error) {
+func (m *PADDownloadRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.PADID, err = r.str(); err != nil {
 		return err
 	}
 	m.Module, err = r.blob()
-	return err
+	return r.end(err)
 }
 
-func (r *binReader) decodeInitReq(m *InitReq) (err error) {
+func (m *InitReq) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.AppID, err = r.str(); err != nil {
 		return err
 	}
 	if m.Resource, err = r.str(); err != nil {
 		return err
 	}
-	if m.ClientID, err = r.str(); err != nil {
-		return err
-	}
-	m.WireVersion, err = r.int_()
-	return err
+	m.ClientID, err = r.str()
+	return r.end(err)
 }
 
-func (r *binReader) decodeInitRep(m *InitRep) (err error) {
+func (m *InitRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
 	if m.OK, err = r.bool_(); err != nil {
 		return err
 	}
 	m.Reason, err = r.str()
-	return err
+	return r.end(err)
+}
+
+func (m *CliMetaReq) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	if err = r.decodeDevMeta(&m.Dev); err != nil {
+		return err
+	}
+	return r.end(r.decodeNtwkMeta(&m.Ntwk))
+}
+
+func (m *CliMetaRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	if err = r.decodeDevMeta(&m.Dev); err != nil {
+		return err
+	}
+	if err = r.decodeNtwkMeta(&m.Ntwk); err != nil {
+		return err
+	}
+	m.SessionRequests, err = r.int_()
+	return r.end(err)
+}
+
+func (m *PADMetaRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	m.PADs, err = r.padMetas()
+	return r.end(err)
+}
+
+func (m *ErrorRep) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	m.Message, err = r.str()
+	return r.end(err)
+}
+
+func (m *AppMetaPush) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	if m.App.AppID, err = r.str(); err != nil {
+		return err
+	}
+	m.App.PADs, err = r.padMetas()
+	return r.end(err)
+}
+
+func (m *AppMetaAck) decodeFrom(raw []byte) (err error) {
+	r := binReader{b: raw}
+	if m.OK, err = r.bool_(); err != nil {
+		return err
+	}
+	m.Reason, err = r.str()
+	return r.end(err)
 }
 
 func (r *binReader) decodeDevMeta(d *core.DevMeta) (err error) {
@@ -698,24 +540,6 @@ func (r *binReader) decodeNtwkMeta(n *core.NtwkMeta) (err error) {
 		return err
 	}
 	n.BandwidthKbps, err = r.float()
-	return err
-}
-
-func (r *binReader) decodeCliMetaReq(m *CliMetaReq) (err error) {
-	if err = r.decodeDevMeta(&m.Dev); err != nil {
-		return err
-	}
-	return r.decodeNtwkMeta(&m.Ntwk)
-}
-
-func (r *binReader) decodeCliMetaRep(m *CliMetaRep) (err error) {
-	if err = r.decodeDevMeta(&m.Dev); err != nil {
-		return err
-	}
-	if err = r.decodeNtwkMeta(&m.Ntwk); err != nil {
-		return err
-	}
-	m.SessionRequests, err = r.int_()
 	return err
 }
 
@@ -763,23 +587,23 @@ func (r *binReader) decodePADMeta(p *core.PADMeta) (err error) {
 	return err
 }
 
-func (r *binReader) decodePADMetaRep(m *PADMetaRep) error {
+// padMetas decodes a presence-aware PAD metadata array.
+func (r *binReader) padMetas() ([]core.PADMeta, error) {
 	n, err := r.uvarint()
 	if err != nil || n == 0 {
-		m.PADs = nil
-		return err
+		return nil, err
 	}
 	n--
 	// Each PADMeta costs well over one byte on the wire; one is a safe
 	// floor for pre-sizing against a hostile count.
 	if n > uint64(len(r.b)-r.off) {
-		return errBinTruncated
+		return nil, errBinTruncated
 	}
-	m.PADs = make([]core.PADMeta, n)
-	for i := range m.PADs {
-		if err := r.decodePADMeta(&m.PADs[i]); err != nil {
-			return err
+	pads := make([]core.PADMeta, n)
+	for i := range pads {
+		if err := r.decodePADMeta(&pads[i]); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return pads, nil
 }

@@ -18,7 +18,7 @@ func NewGen(seed int64) *Gen {
 // occasional failed staging attempt or timeout adjustment mixed in (both
 // must be invisible on the wire).
 func (g *Gen) Valid() Trace {
-	tr := Trace{Target: Target(g.rng.Intn(3)), Binary: g.rng.Intn(2) == 0}
+	tr := Trace{Target: Target(g.rng.Intn(3))}
 	units := 1 + g.rng.Intn(3)
 	for u := 0; u < units; u++ {
 		switch tr.Target {
@@ -65,7 +65,7 @@ func (g *Gen) Mutants(base Trace, n int) []Trace {
 // the server reply and then drop the connection is only planted where no
 // unread client bytes remain (an unread byte at close turns a TCP FIN
 // into an RST that can destroy the in-flight reply), which is why
-// type/version rewrites land on the last frame of a step's batch and
+// type rewrites land on the last frame of a step's batch and
 // truncation ends the trace.
 func (g *Gen) mutate(base Trace) (Trace, bool) {
 	tr := base.clone()
@@ -76,7 +76,7 @@ func (g *Gen) mutate(base Trace) (Trace, bool) {
 	i := ws[g.rng.Intn(len(ws))]
 	s := &tr.Steps[i]
 	last := frameCount(s.Op) - 1
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(9) {
 	case 0: // invalid parameter: the semantic refusals
 		return g.paramMutant(tr, i)
 	case 1: // in-band client error frame at an arbitrary point
@@ -94,28 +94,16 @@ func (g *Gen) mutate(base Trace) (Trace, bool) {
 	case 5:
 		types := []uint8{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 200}
 		s.Muts = append(s.Muts, Mutation{Kind: MutWrongType, Frame: last, Type: types[g.rng.Intn(len(types))]})
-	case 6: // v2-before-advertise
-		if tr.Binary {
-			return tr, false
-		}
-		s.Muts = append(s.Muts, Mutation{Kind: MutVersion2, Frame: last})
-	case 7:
+	case 6:
 		s.Muts = append(s.Muts, Mutation{Kind: MutTrailing, Frame: g.rng.Intn(last + 1), Sel: uint32(g.rng.Intn(256))})
-	case 8: // truncation is terminal: cut the last frame and half-close
+	case 7: // truncation is terminal: cut the last frame and half-close
 		tr.Steps = tr.Steps[:i+1]
 		s.Muts = append(s.Muts, Mutation{Kind: MutTruncate, Sel: uint32(g.rng.Intn(4096))})
-	case 9: // tampered inbound frame; needs reply history to clone from
+	case 8: // tampered inbound frame; needs reply history to clone from
 		if i == 0 || ws[0] >= i {
 			return tr, false
 		}
-		if g.rng.Intn(2) == 0 {
-			s.Muts = append(s.Muts, Mutation{Kind: MutInDupReply})
-		} else {
-			if tr.Binary {
-				return tr, false
-			}
-			s.Muts = append(s.Muts, Mutation{Kind: MutInStaleV2, Sel: uint32(g.rng.Intn(8))})
-		}
+		s.Muts = append(s.Muts, Mutation{Kind: MutInDupReply})
 	}
 	return tr, true
 }

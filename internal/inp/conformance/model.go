@@ -36,17 +36,15 @@ func (t Term) String() string {
 	return fmt.Sprintf("Term(%d)", int(t))
 }
 
-// FrameExpect is the spec's prediction for one reply frame: its type, its
-// wire version (the v1/v2 lattice made observable), and its sequence
-// number (the server must never skip or repeat one).
+// FrameExpect is the spec's prediction for one reply frame: its type and
+// its sequence number (the server must never skip or repeat one).
 type FrameExpect struct {
-	Type    inp.MsgType
-	Version uint8
-	Seq     uint32
+	Type inp.MsgType
+	Seq  uint32
 }
 
 func (f FrameExpect) String() string {
-	return fmt.Sprintf("%v/v%d/seq%d", f.Type, f.Version, f.Seq)
+	return fmt.Sprintf("%v/seq%d", f.Type, f.Seq)
 }
 
 // StepExpect is the spec's prediction for one step.
@@ -67,9 +65,6 @@ type StepExpect struct {
 // no conforming client keeps writing into a dead connection.
 type Expect struct {
 	Steps []StepExpect
-	// DriverBinary is the client conn's final encoding state: true only
-	// if an *accepted* reply carried Version2.
-	DriverBinary bool
 }
 
 // stagedMsg is one message a step stages, before framing.
@@ -82,23 +77,19 @@ type stagedMsg struct {
 // it. The driver sends exactly these through the real inp.Conn and the
 // model frames exactly these through the raw frame writer, so any
 // disagreement between the two byte streams is a Conn framing bug.
-func stepMessages(tr Trace, s Step) []stagedMsg {
-	wv := 0
-	if tr.Binary {
-		wv = inp.Version2
-	}
+func stepMessages(s Step) []stagedMsg {
 	climeta := func() stagedMsg {
 		env := envFor(s.Env)
 		return stagedMsg{inp.MsgCliMetaRep, inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75}}
 	}
 	switch s.Op {
 	case OpInit:
-		return []stagedMsg{{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App), WireVersion: wv}}}
+		return []stagedMsg{{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App)}}}
 	case OpCliMeta:
 		return []stagedMsg{climeta()}
 	case OpInitBurst:
 		return []stagedMsg{
-			{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App), WireVersion: wv}},
+			{inp.MsgInitReq, inp.InitReq{AppID: appIDFor(s.App)}},
 			climeta(),
 		}
 	case OpMetaPush:
@@ -109,10 +100,9 @@ func stepMessages(tr Trace, s Step) []stagedMsg {
 			Resource:    resourceFor(s.Resource),
 			ProtocolIDs: []string{protoFor(s.Proto)},
 			HaveVersion: 0,
-			WireVersion: wv,
 		}}}
 	case OpPADReq:
-		return []stagedMsg{{inp.MsgPADDownloadReq, inp.PADDownloadReq{PADID: padFor(s.PAD), WireVersion: wv}}}
+		return []stagedMsg{{inp.MsgPADDownloadReq, inp.PADDownloadReq{PADID: padFor(s.PAD)}}}
 	case OpClientError:
 		return []stagedMsg{{inp.MsgError, inp.ErrorRep{Message: "client abort"}}}
 	}
@@ -126,15 +116,13 @@ const (
 )
 
 // model is the executable spec state while evaluating one trace: both
-// endpoints' sequence counters and encoding state, the proxy's session
-// phase, and the frame history the mutation kinds draw from.
+// endpoints' sequence counters, the proxy's session phase, and the frame
+// history the mutation kinds draw from.
 type model struct {
 	tr Trace
 
 	dSeq, dPeer uint32 // driver conn: next send seq - 1, last accepted reply seq
-	dBinary     bool
 	sSeq, sPeer uint32 // server conn
-	sBinary     bool
 
 	phase      int    // proxy only
 	pendingApp string // proxy: AppID of the negotiation awaiting CLI_META_REP
@@ -160,7 +148,6 @@ func Eval(tr Trace) (*Expect, error) {
 		}
 		ex.Steps = append(ex.Steps, *st)
 	}
-	ex.DriverBinary = m.dBinary
 	return ex, nil
 }
 
@@ -179,12 +166,8 @@ func (m *model) step(s Step) (*StepExpect, error) {
 	// Stage and frame the step's messages exactly as a conforming client
 	// conn would.
 	var frames [][]byte
-	for _, msg := range stepMessages(m.tr, s) {
-		h := inp.Header{Version: inp.Version, Type: msg.t, Seq: m.dSeq + 1}
-		if m.dBinary && binaryCapable(msg.t) {
-			h.Version = inp.Version2
-		}
-		f, err := renderFrame(h, msg.body)
+	for _, msg := range stepMessages(s) {
+		f, err := renderFrame(inp.Header{Type: msg.t, Seq: m.dSeq + 1}, msg.body)
 		if err != nil {
 			return nil, fmt.Errorf("rendering %v: %w", msg.t, err)
 		}
@@ -198,7 +181,7 @@ func (m *model) step(s Step) (*StepExpect, error) {
 	// An inbound tamper the driver detects ends the trace before any of
 	// this step's real replies are read: the injected frame fails the
 	// sequence gate and a conforming client abandons the stream without
-	// mutating conn state (bugfix #2 keeps dBinary false here).
+	// mutating conn state.
 	if im, ok := hasInbound(s); ok && m.inboundEligible(im) {
 		st.Term = TermDriverReject
 		m.closed = true
@@ -225,9 +208,6 @@ func (m *model) step(s Step) (*StepExpect, error) {
 			break
 		}
 		m.sPeer = h.Seq
-		if h.Version >= inp.Version2 {
-			m.sBinary = true
-		}
 		if !m.dispatch(st, h, raw, rd) {
 			break
 		}
@@ -242,20 +222,9 @@ func (m *model) step(s Step) (*StepExpect, error) {
 }
 
 // inboundEligible mirrors the driver's injection precondition: tampering
-// needs reply history, and a stale-v2 injection needs a v1 reply of a
-// binary-capable type to re-stamp.
+// needs reply history.
 func (m *model) inboundEligible(im Mutation) bool {
-	switch im.Kind {
-	case MutInDupReply:
-		return len(m.replies) > 0
-	case MutInStaleV2:
-		for _, r := range m.replies {
-			if r.Version == inp.Version && binaryCapable(r.Type) {
-				return true
-			}
-		}
-	}
-	return false
+	return im.Kind == MutInDupReply && len(m.replies) > 0
 }
 
 // dispatch runs one accepted frame through the target's session state
@@ -289,9 +258,8 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 	}
 	switch h.Type {
 	case inp.MsgAppMetaPush:
-		// Topology pushes are always v1 JSON.
 		var push inp.AppMetaPush
-		if inp.DecodeBody(raw, &push) != nil {
+		if inp.DecodeRaw(h, raw, &push) != nil {
 			return m.serverClose(st)
 		}
 		m.reply(st, inp.MsgAppMetaAck)
@@ -304,9 +272,6 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 		var req inp.InitReq
 		if inp.DecodeRaw(h, raw, &req) != nil {
 			return m.serverClose(st)
-		}
-		if req.WireVersion >= inp.Version2 {
-			m.sBinary = true
 		}
 		// The serving fast path triggers on pipelined input: the client
 		// flushed CLI_META_REP behind INIT_REQ, and the server drains it
@@ -321,9 +286,6 @@ func (m *model) dispatchProxy(st *StepExpect, h inp.Header, raw []byte, rd *byte
 				return m.serverClose(st)
 			}
 			m.sPeer = h2.Seq
-			if h2.Version >= inp.Version2 {
-				m.sBinary = true
-			}
 			if h2.Type == inp.MsgError || h2.Type != inp.MsgCliMetaRep {
 				return m.serverClose(st)
 			}
@@ -375,9 +337,6 @@ func (m *model) dispatchApp(st *StepExpect, h inp.Header, raw []byte) bool {
 	if inp.DecodeRaw(h, raw, &req) != nil {
 		return m.serverClose(st)
 	}
-	if req.WireVersion >= inp.Version2 {
-		m.sBinary = true
-	}
 	// Application-level refusals are in-band: the session survives them.
 	if req.AppID != validApp {
 		m.reply(st, inp.MsgError)
@@ -399,9 +358,6 @@ func (m *model) dispatchPAD(st *StepExpect, h inp.Header, raw []byte) bool {
 	if inp.DecodeRaw(h, raw, &req) != nil {
 		return m.serverClose(st)
 	}
-	if req.WireVersion >= inp.Version2 {
-		m.sBinary = true
-	}
 	path := req.URL
 	if path == "" {
 		path = "/pads/" + req.PADID
@@ -414,22 +370,13 @@ func (m *model) dispatchPAD(st *StepExpect, h inp.Header, raw []byte) bool {
 	return true
 }
 
-// reply records one server frame: v2 only for binary-capable types once
-// the server side upgraded, sequence numbers dense. An accepted v2 reply
-// upgrades the driver conn (the observable half of the lattice).
+// reply records one server frame, sequence numbers dense.
 func (m *model) reply(st *StepExpect, t inp.MsgType) {
-	v := uint8(inp.Version)
-	if m.sBinary && binaryCapable(t) {
-		v = inp.Version2
-	}
 	m.sSeq++
-	fe := FrameExpect{Type: t, Version: v, Seq: m.sSeq}
+	fe := FrameExpect{Type: t, Seq: m.sSeq}
 	st.Replies = append(st.Replies, fe)
 	m.replies = append(m.replies, fe)
 	m.dPeer = fe.Seq
-	if v >= inp.Version2 {
-		m.dBinary = true
-	}
 }
 
 func (m *model) serverClose(st *StepExpect) bool {

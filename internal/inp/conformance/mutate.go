@@ -13,7 +13,10 @@ import (
 // whole point of an executable spec is an independent statement of the
 // format, so a silent change to the header layout fails conformance
 // instead of being mirrored invisibly.
-const frameHeaderLen = 16
+const (
+	frameHeaderLen = 16
+	frameVersion   = 2 // the one protocol version every frame carries
+)
 
 const (
 	offVersion = 4  // header byte carrying the protocol version
@@ -99,11 +102,6 @@ func applyOutMuts(muts []Mutation, frames [][]byte, hist [][]byte) (out [][]byte
 				continue
 			}
 			out[m.Frame%len(out)][offType] = m.Type
-		case MutVersion2:
-			if len(out) == 0 {
-				continue
-			}
-			out[m.Frame%len(out)][offVersion] = 2
 		case MutTrailing:
 			if len(out) == 0 {
 				continue
@@ -136,22 +134,9 @@ func applyOutMuts(muts []Mutation, frames [][]byte, hist [][]byte) (out [][]byte
 func hasInbound(s Step) (Mutation, bool) {
 	for _, m := range s.Muts {
 		switch m.Kind {
-		case MutInDupReply, MutInStaleV2, MutInDelay:
+		case MutInDupReply, MutInDelay:
 			return m, true
 		}
 	}
 	return Mutation{}, false
-}
-
-// binaryCapable mirrors the v2 type lattice: the hot message types that
-// have a binary body codec. Re-declared here (not exported from inp) so
-// the spec states the lattice independently; a drift between the two
-// lists surfaces as a version-byte divergence in every binary trace.
-func binaryCapable(t inp.MsgType) bool {
-	switch t {
-	case inp.MsgAppReq, inp.MsgAppRep, inp.MsgPADDownloadReq, inp.MsgPADDownloadRep,
-		inp.MsgInitReq, inp.MsgInitRep, inp.MsgCliMetaReq, inp.MsgCliMetaRep, inp.MsgPADMetaRep:
-		return true
-	}
-	return false
 }

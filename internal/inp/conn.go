@@ -64,10 +64,6 @@ type Conn struct {
 	// knows whether there is a stale deadline to remove — and never touches
 	// deadlines some other owner (a server idle policy) armed itself.
 	armedR, armedW bool
-	// binary records that the peer has proven Version2 support (it sent a
-	// v2 frame, or advertised WireVersion >= 2 and the server called
-	// EnableBinary); hot bodies are then emitted with the binary codec.
-	binary bool
 }
 
 // NewConn wraps a byte stream (typically a net.Conn).
@@ -113,20 +109,22 @@ func (c *Conn) SetTimeout(d time.Duration) {
 	c.timeout = d
 }
 
-// EnableBinary switches hot body types to the Version2 binary codec.
-// Servers call it after a request advertises WireVersion >= Version2;
-// clients normally never call it — they upgrade automatically when the
-// peer answers with a Version2 frame.
-func (c *Conn) EnableBinary() { c.binary = true }
-
-// BinaryEnabled reports whether hot bodies are being sent in binary.
-func (c *Conn) BinaryEnabled() bool { return c.binary }
-
 // InputPending reports whether undrained inbound bytes already sit in the
 // session read buffer — i.e. the peer pipelined another frame behind the
 // one just consumed. Always false on conns without a session.
 func (c *Conn) InputPending() bool {
 	return c.sess != nil && c.brd.buffered() > 0
+}
+
+// awaitFrame blocks, under the per-operation read bound, until the first
+// byte of the next inbound frame sits in the session read buffer. It
+// reads nothing a Recv would not have read. Session conns only.
+func (c *Conn) awaitFrame() error {
+	c.armRead()
+	if err := c.brd.fill(); err != nil {
+		return fmt.Errorf("inp: reading header: %w", err)
+	}
+	return nil
 }
 
 // armRead applies the per-operation read deadline, if any.
@@ -152,18 +150,13 @@ func (c *Conn) armWrite() {
 }
 
 // Queue frames one message with the next sequence number into the write
-// batch; nothing reaches the stream until Flush. Hot body types use the
-// binary codec once the peer has proven Version2 support.
+// batch; nothing reaches the stream until Flush.
 func (c *Conn) Queue(t MsgType, body interface{}) error {
 	// The sequence number is committed only once the frame is staged: if
 	// encoding fails nothing reaches the wire, so consuming a seq here
 	// would make the next successful frame skip one and be rejected by a
 	// healthy peer with ErrSeqMismatch.
-	h := Header{Version: Version, Type: t, Seq: c.seq + 1}
-	if c.binary && binaryMsgType(t) && binaryEncodable(t, body) {
-		h.Version = Version2
-	}
-	if err := c.fw.WriteMessage(h, body); err != nil {
+	if err := c.fw.WriteMessage(Header{Type: t, Seq: c.seq + 1}, body); err != nil {
 		return err
 	}
 	c.seq++
@@ -205,12 +198,6 @@ func (c *Conn) Recv() (Header, []byte, error) {
 		return h, raw, fmt.Errorf("%w: got %v seq %d, expected %d", ErrSeqMismatch, h.Type, h.Seq, c.peerSeq+1)
 	}
 	c.peerSeq = h.Seq
-	if h.Version >= Version2 {
-		// The peer emits v2 frames, so it decodes them too: upgrade.
-		// Only an *accepted* frame mutates conn state — a stale or
-		// replayed v2 frame rejected above must not flip the encoding.
-		c.binary = true
-	}
 	return h, raw, nil
 }
 
@@ -268,7 +255,7 @@ func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	}
 	if h.Type == MsgError {
 		var e ErrorRep
-		if derr := DecodeBody(raw, &e); derr == nil && e.Message != "" {
+		if derr := DecodeRaw(h, raw, &e); derr == nil && e.Message != "" {
 			return &PeerError{Message: e.Message}
 		}
 		return &PeerError{}
@@ -276,10 +263,7 @@ func (c *Conn) RecvInto(want MsgType, reply interface{}) error {
 	if h.Type != want {
 		return fmt.Errorf("inp: expected %v, got %v", want, h.Type)
 	}
-	if h.Version >= Version2 {
-		return decodeBinaryBody(h.Type, raw, reply)
-	}
-	return DecodeBody(raw, reply)
+	return DecodeRaw(h, raw, reply)
 }
 
 // Call sends a request and decodes the matching reply type.

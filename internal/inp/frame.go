@@ -16,14 +16,14 @@ import (
 // entries instead of being copied into the assembly buffer.
 //
 // A FrameWriter serves one connection and is not safe for concurrent use.
-// The JSON wire bytes are byte-identical to sequential WriteMessage calls,
-// pinned by FuzzFrameBatch.
+// The batched wire bytes are byte-identical to the same frames flushed
+// one by one, pinned by FuzzFrameBatch.
 type FrameWriter struct {
 	w   io.Writer
 	tcp *net.TCPConn // non-nil when vectored writes are available
-	// es is borrowed from encPool while frames are queued and returned on
+	// buf borrows arena storage while frames are queued and returns it on
 	// Flush, so idle connections pin no assembly storage.
-	es     *encodeState
+	buf    arena.Buffer
 	vecs   []frameVec
 	nb     net.Buffers // reusable backing for the vectored flush
 	extLen int         // total spliced (zero-copy) bytes queued
@@ -52,32 +52,13 @@ func (fw *FrameWriter) init(w io.Writer) {
 	}
 }
 
-// state returns the assembly buffer, borrowing one on first use.
-func (fw *FrameWriter) state() *encodeState {
-	if fw.es == nil {
-		fw.es = encPool.Get().(*encodeState)
-	}
-	return fw.es
-}
-
 // WriteMessage queues one frame; nothing reaches the stream until Flush.
-// Headers carrying Version2 use the binary body codec (the type must be
-// binary-capable); all others encode JSON byte-identically to the
-// package-level WriteMessage.
+// On error nothing is queued, so a batch of earlier frames survives
+// intact.
 //
 //fractal:hotpath every batched exchange queues frames here
 func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
-	if h.Type == MsgInvalid || h.Type >= msgMax {
-		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
-	}
-	es := fw.state()
-	var err error
-	if h.Version >= Version2 {
-		err = fw.appendFrameBinary(h, body)
-	} else {
-		err = appendFrameJSON(&es.buf, es.enc, h, body)
-	}
-	if err != nil {
+	if err := fw.appendFrame(h, body); err != nil {
 		return err
 	}
 	fw.queued++
@@ -87,16 +68,13 @@ func (fw *FrameWriter) WriteMessage(h Header, body interface{}) error {
 // splice records p as a zero-copy vector entry following everything
 // queued so far. p must stay unmodified until Flush returns.
 func (fw *FrameWriter) splice(p []byte) {
-	fw.vecs = append(fw.vecs, frameVec{end: fw.es.buf.Len(), ext: p})
+	fw.vecs = append(fw.vecs, frameVec{end: fw.buf.Len(), ext: p})
 	fw.extLen += len(p)
 }
 
 // Buffered reports how many queued bytes await Flush.
 func (fw *FrameWriter) Buffered() int {
-	if fw.es == nil {
-		return 0
-	}
-	return fw.es.buf.Len() + fw.extLen
+	return fw.buf.Len() + fw.extLen
 }
 
 // Flush writes every queued frame in one call and releases the assembly
@@ -104,21 +82,16 @@ func (fw *FrameWriter) Buffered() int {
 //
 //fractal:hotpath one flush per direction per session phase
 func (fw *FrameWriter) Flush() error {
-	es := fw.es
-	if es == nil {
-		return nil
-	}
 	n := fw.queued
-	fw.es = nil
 	fw.queued = 0
-	defer putEncState(es)
+	defer fw.buf.Release()
 	var err error
 	if len(fw.vecs) == 0 {
-		if es.buf.Len() > 0 {
-			_, err = fw.w.Write(es.buf.Bytes())
+		if fw.buf.Len() > 0 {
+			_, err = fw.w.Write(fw.buf.Bytes())
 		}
 	} else {
-		err = fw.flushVectored(es)
+		err = fw.flushVectored()
 	}
 	if err != nil {
 		return fmt.Errorf("inp: flushing %d queued frame(s): %w", n, err)
@@ -129,8 +102,8 @@ func (fw *FrameWriter) Flush() error {
 // flushVectored interleaves the internal buffer segments with the spliced
 // slices. On TCP the segments go out as one writev; elsewhere they are
 // coalesced into scratch arena storage for a single Write.
-func (fw *FrameWriter) flushVectored(es *encodeState) error {
-	b := es.buf.Bytes()
+func (fw *FrameWriter) flushVectored() error {
+	b := fw.buf.Bytes()
 	fw.nb = fw.nb[:0]
 	off := 0
 	for _, v := range fw.vecs {
@@ -181,6 +154,21 @@ type bufReader struct {
 
 // buffered reports the undrained byte count.
 func (b *bufReader) buffered() int { return b.w - b.r }
+
+// fill blocks until at least one undrained byte is buffered.
+func (b *bufReader) fill() error {
+	for b.r == b.w {
+		n, err := b.src.Read(b.buf)
+		if n > 0 {
+			b.r, b.w = 0, n
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // Read refills from src at most once per call; reads at least as large as
 // the buffer bypass it entirely so large bodies stream straight through.

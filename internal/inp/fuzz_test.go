@@ -3,8 +3,7 @@ package inp
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
-	"reflect"
+	"io"
 	"sync"
 	"testing"
 )
@@ -13,7 +12,7 @@ import (
 // must never panic and never allocate unbounded buffers.
 func FuzzReadMessage(f *testing.F) {
 	var seed bytes.Buffer
-	_ = WriteMessage(&seed, Header{Version: Version, Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
+	_ = writeFrame(&seed, Header{Type: MsgInitReq, Seq: 1}, InitReq{AppID: "a"})
 	f.Add(seed.Bytes())
 	f.Add([]byte("INP1garbage"))
 	f.Add([]byte{})
@@ -31,18 +30,27 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// referenceFrame is the pre-pooling WriteMessage algorithm (json.Marshal
-// plus a separately assembled header), kept as the byte-level pin for the
-// pooled encoder.
-func referenceFrame(t *testing.T, h Header, body interface{}) []byte {
-	t.Helper()
-	raw, err := json.Marshal(body)
-	if err != nil {
-		t.Fatalf("reference marshal: %v", err)
+// writeFrame frames and writes one message as a single Write call.
+func writeFrame(w io.Writer, h Header, body interface{}) error {
+	fw := NewFrameWriter(w)
+	if err := fw.WriteMessage(h, body); err != nil {
+		return err
+	}
+	return fw.Flush()
+}
+
+// referenceFrame is an independent statement of the INIT_REQ wire format:
+// the 16-byte header, then each string as a uvarint length and its bytes.
+// It pins the pooled encoder byte for byte.
+func referenceFrame(h Header, body InitReq) []byte {
+	var raw []byte
+	for _, s := range []string{body.AppID, body.Resource, body.ClientID} {
+		raw = binary.AppendUvarint(raw, uint64(len(s)))
+		raw = append(raw, s...)
 	}
 	var hdr [headerLen]byte
-	copy(hdr[0:4], magic[:])
-	hdr[4] = h.Version
+	copy(hdr[0:4], "INP1")
+	hdr[4] = 2
 	hdr[5] = uint8(h.Type)
 	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
 	binary.BigEndian.PutUint32(hdr[12:16], uint32(len(raw)))
@@ -50,21 +58,34 @@ func referenceFrame(t *testing.T, h Header, body interface{}) []byte {
 }
 
 // FuzzWriteMessagePooledEquivalence pins the pooled framing: for arbitrary
-// string payloads (covering HTML-escaped characters and invalid UTF-8),
-// a frame produced through a pooled Conn is byte-identical to the unpooled
-// encoding and round-trips through ReadMessage to the same message.
+// string payloads (invalid UTF-8 included), a frame assembled in arena
+// storage that a larger frame has just dirtied is byte-identical to the
+// reference encoding and round-trips through ReadMessage to the same
+// message.
 func FuzzWriteMessagePooledEquivalence(f *testing.F) {
 	f.Add("webapp", "page-000", "alice", uint32(1))
 	f.Add("<script>&", "a\xff\xfeb", "", uint32(0))
 	f.Add("", "", "", uint32(1<<31))
 	f.Fuzz(func(t *testing.T, appID, resource, clientID string, seq uint32) {
 		body := InitReq{AppID: appID, Resource: resource, ClientID: clientID}
-		h := Header{Version: Version, Type: MsgInitReq, Seq: seq}
+		h := Header{Type: MsgInitReq, Seq: seq}
 		var got bytes.Buffer
-		if err := WriteMessage(&got, h, body); err != nil {
+		fw := NewFrameWriter(&got)
+		dirty := AppRep{Resource: resource, Payload: bytes.Repeat([]byte{0xdd}, 600)}
+		if err := fw.WriteMessage(Header{Type: MsgAppRep, Seq: seq}, &dirty); err != nil {
+			t.Fatalf("dirtying write: %v", err)
+		}
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got.Reset()
+		if err := fw.WriteMessage(h, body); err != nil {
 			t.Fatalf("pooled write: %v", err)
 		}
-		want := referenceFrame(t, h, body)
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceFrame(h, body)
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("pooled frame diverged from reference:\npooled:    %q\nreference: %q", got.Bytes(), want)
 		}
@@ -76,17 +97,11 @@ func FuzzWriteMessagePooledEquivalence(f *testing.F) {
 			t.Fatalf("round-trip header %+v, want %+v", rh, h)
 		}
 		var back InitReq
-		if err := DecodeBody(raw, &back); err != nil {
+		if err := DecodeRaw(rh, raw, &back); err != nil {
 			t.Fatalf("round-trip decode: %v", err)
 		}
-		// json.Marshal coerces invalid UTF-8 to U+FFFD, so compare against
-		// what the reference encoding decodes to, not the original input.
-		var wantBack InitReq
-		if err := DecodeBody(want[headerLen:], &wantBack); err != nil {
-			t.Fatalf("reference decode: %v", err)
-		}
-		if !reflect.DeepEqual(back, wantBack) {
-			t.Fatalf("round trip decoded %+v, want %+v", back, wantBack)
+		if back != body {
+			t.Fatalf("round trip decoded %+v, want %+v", back, body)
 		}
 	})
 }
@@ -103,7 +118,7 @@ func TestWriteMessagePooledConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				seq := uint32(g*1000 + i)
 				var buf bytes.Buffer
-				if err := WriteMessage(&buf, Header{Version: Version, Type: MsgAppReq, Seq: seq},
+				if err := writeFrame(&buf, Header{Type: MsgAppReq, Seq: seq},
 					AppReq{AppID: "webapp", Resource: "page", ProtocolIDs: []string{"gzip"}}); err != nil {
 					t.Error(err)
 					return

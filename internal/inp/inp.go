@@ -2,18 +2,15 @@
 // 3.3 (Figure 4): the framed message exchange between client, adaptation
 // proxy, CDN, and application server. Every packet carries an INP header
 // maintaining protocol integrity (magic, version, type, sequence number,
-// body length); bodies are JSON for inspectability.
+// body length), and every body uses the one binary codec of binary.go.
 package inp
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
-	"sync"
 
-	"fractal/internal/arena"
 	"fractal/internal/core"
 )
 
@@ -63,8 +60,10 @@ func (t MsgType) String() string {
 
 // Protocol constants.
 const (
-	// Version is the INP protocol version carried in every header.
-	Version = 1
+	// Version is the INP protocol version carried in every header. It is
+	// 2 because version 1 framed JSON bodies; every body is now binary, so
+	// a version-1 peer is refused at the header instead of misdecoded.
+	Version = 2
 	// MaxBody bounds a message body; larger frames are rejected before
 	// allocation.
 	MaxBody = 64 << 20
@@ -75,91 +74,22 @@ const (
 
 var magic = [4]byte{'I', 'N', 'P', '1'}
 
-// Header is the INP header segment present in each packet.
+// Header is the per-frame part of the INP header segment: the message type
+// and sequence number. The version byte is always Version, so it is
+// stamped on write and checked on read rather than carried here.
 type Header struct {
-	Version uint8
-	Type    MsgType
-	Seq     uint32
-}
-
-// encodeState is a pooled frame-assembly buffer with a JSON encoder bound
-// to it, so a frame (header + body) is built contiguously with no
-// per-message allocations on the steady state. Its storage comes from the
-// arena and is returned on put, so the retention policy (size classes,
-// oversized frames dropped) lives in one place.
-type encodeState struct {
-	buf arena.Buffer
-	enc *json.Encoder
-}
-
-var encPool = sync.Pool{New: func() interface{} {
-	es := &encodeState{}
-	es.enc = json.NewEncoder(&es.buf)
-	return es
-}}
-
-var zeroHeader [headerLen]byte
-
-// putEncState returns an encode state to the pool. A named function rather
-// than a deferred closure so the hot framing path does not allocate a
-// capturing closure per message.
-func putEncState(es *encodeState) {
-	es.buf.Release()
-	encPool.Put(es)
+	Type MsgType
+	Seq  uint32
 }
 
 // patchHeader backfills a reserved header slot once the body length is
 // known.
 func patchHeader(hdr []byte, h Header, n uint32) {
 	copy(hdr[0:4], magic[:])
-	hdr[4] = h.Version
+	hdr[4] = Version
 	hdr[5] = uint8(h.Type)
 	binary.BigEndian.PutUint32(hdr[8:12], h.Seq)
 	binary.BigEndian.PutUint32(hdr[12:16], n)
-}
-
-// appendFrameJSON appends one complete framed JSON message to buf; enc
-// must be the encoder bound to buf. On error the buffer is restored to its
-// prior length, so a batch of already-queued frames survives intact.
-//
-//fractal:hotpath every JSON frame is assembled here
-func appendFrameJSON(buf *arena.Buffer, enc *json.Encoder, h Header, body interface{}) error {
-	start := buf.Len()
-	buf.Write(zeroHeader[:]) // reserve the header slot
-	// Encoder.Encode emits exactly json.Marshal's bytes plus one newline,
-	// so the frames stay byte-identical to the unpooled encoding.
-	if err := enc.Encode(body); err != nil {
-		buf.SetBytes(buf.Bytes()[:start])
-		return fmt.Errorf("inp: encoding %v body: %w", h.Type, err)
-	}
-	frame := buf.Bytes()
-	frame = frame[:len(frame)-1] // drop the encoder's trailing newline
-	buf.SetBytes(frame)
-	n := len(frame) - start - headerLen
-	if n > MaxBody {
-		buf.SetBytes(frame[:start])
-		return fmt.Errorf("inp: %v body of %d bytes exceeds limit", h.Type, n)
-	}
-	patchHeader(frame[start:start+headerLen], h, uint32(n))
-	return nil
-}
-
-// WriteMessage frames and writes one message as a single Write call.
-//
-//fractal:hotpath every INP exchange writes through here
-func WriteMessage(w io.Writer, h Header, body interface{}) error {
-	if h.Type == MsgInvalid || h.Type >= msgMax {
-		return fmt.Errorf("inp: cannot write message of type %v", h.Type)
-	}
-	es := encPool.Get().(*encodeState)
-	defer putEncState(es)
-	if err := appendFrameJSON(&es.buf, es.enc, h, body); err != nil {
-		return err
-	}
-	if _, err := w.Write(es.buf.Bytes()); err != nil {
-		return fmt.Errorf("inp: writing %v frame: %w", h.Type, err)
-	}
-	return nil
 }
 
 // maxBodyReserve caps how much body memory is allocated ahead of bytes
@@ -169,16 +99,15 @@ func WriteMessage(w io.Writer, h Header, body interface{}) error {
 const maxBodyReserve = 1 << 20
 
 // parseHeader validates a raw header and returns it with the body length.
-// Version 1 is accepted on every type; Version2 only on the hot types
-// that have a binary body codec.
+// Every frame carries Version; any other value is refused.
 func parseHeader(hdr []byte) (Header, uint32, error) {
 	if [4]byte(hdr[0:4]) != magic {
 		return Header{}, 0, fmt.Errorf("inp: bad magic %q", hdr[0:4])
 	}
-	h := Header{Version: hdr[4], Type: MsgType(hdr[5]), Seq: binary.BigEndian.Uint32(hdr[8:12])}
-	if h.Version != Version && !(h.Version == Version2 && binaryMsgType(h.Type)) {
-		return Header{}, 0, fmt.Errorf("inp: unsupported protocol version %d", h.Version)
+	if hdr[4] != Version {
+		return Header{}, 0, fmt.Errorf("inp: unsupported protocol version %d", hdr[4])
 	}
+	h := Header{Type: MsgType(hdr[5]), Seq: binary.BigEndian.Uint32(hdr[8:12])}
 	if h.Type == MsgInvalid || h.Type >= msgMax {
 		return Header{}, 0, fmt.Errorf("inp: unknown message type %d", hdr[5])
 	}
@@ -220,97 +149,78 @@ func ReadMessage(r io.Reader) (Header, []byte, error) {
 	return h, body, nil
 }
 
-// DecodeBody unmarshals a raw body into a typed message.
-func DecodeBody(raw []byte, v interface{}) error {
-	if err := json.Unmarshal(raw, v); err != nil {
-		return fmt.Errorf("inp: decoding body: %w", err)
-	}
-	return nil
-}
-
 // --- message bodies (Figure 4, bottom) ---
 
 // InitReq opens a negotiation; its payload is the application request.
 // ClientID optionally identifies an authenticated principal for the
 // proxy's access-control policy (empty = anonymous).
 type InitReq struct {
-	AppID    string `json:"app_id"`
-	Resource string `json:"resource"`
-	ClientID string `json:"client_id,omitempty"`
-	// WireVersion advertises the highest INP body encoding the client can
-	// decode. Old decoders ignore the field; omitempty keeps old frames
-	// byte-identical.
-	WireVersion int `json:"inp_version,omitempty"`
+	AppID    string
+	Resource string
+	ClientID string
 }
 
 // InitRep acknowledges INIT_REQ.
 type InitRep struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }
 
 // CliMetaReq carries empty DevMeta/NtwkMeta templates "to be filled by
 // the client".
 type CliMetaReq struct {
-	Dev  core.DevMeta  `json:"dev"`
-	Ntwk core.NtwkMeta `json:"ntwk"`
+	Dev  core.DevMeta
+	Ntwk core.NtwkMeta
 }
 
 // CliMetaRep returns the client's probed metadata plus the expected
 // session length used to amortize PAD downloads.
 type CliMetaRep struct {
-	Dev             core.DevMeta  `json:"dev"`
-	Ntwk            core.NtwkMeta `json:"ntwk"`
-	SessionRequests int           `json:"session_requests"`
+	Dev             core.DevMeta
+	Ntwk            core.NtwkMeta
+	SessionRequests int
 }
 
 // PADMetaRep delivers the negotiated PAD metadata array (redacted: no tree
 // links), with digests and URLs inserted by the distribution manager.
 type PADMetaRep struct {
-	PADs []core.PADMeta `json:"pads"`
+	PADs []core.PADMeta
 }
 
 // PADDownloadReq asks a PAD server/edge for a module by id.
 type PADDownloadReq struct {
-	PADID string `json:"pad_id"`
-	URL   string `json:"url"`
-	// WireVersion advertises the highest INP frame version the requester
-	// decodes (0 or 1 = JSON only). Old peers' JSON decoders ignore the
-	// field; new peers answer hot replies in binary when it is >= Version2.
-	WireVersion int `json:"inp_version,omitempty"`
+	PADID string
+	URL   string
 }
 
 // PADDownloadRep returns the packed mobile-code module.
 type PADDownloadRep struct {
-	PADID  string `json:"pad_id"`
-	Module []byte `json:"module"`
+	PADID  string
+	Module []byte
 }
 
 // AppReq starts (or continues) the application session, carrying the
 // negotiated protocol identifications so the server selects matching PADs.
 type AppReq struct {
-	AppID       string   `json:"app_id"`
-	Resource    string   `json:"resource"`
-	ProtocolIDs []string `json:"protocol_ids"`
+	AppID       string
+	Resource    string
+	ProtocolIDs []string
 	// HaveVersion tells the server which version of the resource the
 	// client already holds (0 = none), enabling differential encoding.
-	HaveVersion int `json:"have_version"`
-	// WireVersion advertises the highest INP frame version the requester
-	// decodes, as on PADDownloadReq.
-	WireVersion int `json:"inp_version,omitempty"`
+	HaveVersion int
 }
 
 // AppRep returns the adapted application content.
 type AppRep struct {
-	Resource string `json:"resource"`
-	Version  int    `json:"version"`
-	PADID    string `json:"pad_id"`
-	Payload  []byte `json:"payload"`
+	Resource string
+	Version  int
+	PADID    string
+	Payload  []byte
 }
 
 // ErrorRep reports a failure to the peer.
 type ErrorRep struct {
-	Message string `json:"message"`
+	Message string
 }
 
 // AppMetaPush is the application server's topology push to the adaptation
@@ -318,11 +228,11 @@ type ErrorRep struct {
 // manager when the protocol adaptation topology is first created or
 // changed later").
 type AppMetaPush struct {
-	App core.AppMeta `json:"app"`
+	App core.AppMeta
 }
 
 // AppMetaAck acknowledges a topology push.
 type AppMetaAck struct {
-	OK     bool   `json:"ok"`
-	Reason string `json:"reason,omitempty"`
+	OK     bool
+	Reason string
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -14,18 +15,18 @@ import (
 func TestMessageRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	want := InitReq{AppID: "webapp", Resource: "page-001"}
-	if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitReq, Seq: 7}, want); err != nil {
+	if err := writeFrame(&buf, Header{Type: MsgInitReq, Seq: 7}, want); err != nil {
 		t.Fatal(err)
 	}
 	h, raw, err := ReadMessage(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Type != MsgInitReq || h.Seq != 7 || h.Version != Version {
+	if h.Type != MsgInitReq || h.Seq != 7 {
 		t.Fatalf("header = %+v", h)
 	}
 	var got InitReq
-	if err := DecodeBody(raw, &got); err != nil {
+	if err := DecodeRaw(h, raw, &got); err != nil {
 		t.Fatal(err)
 	}
 	if got != want {
@@ -45,22 +46,35 @@ func TestAllMessageTypesRoundTrip(t *testing.T) {
 		MsgAppReq:         AppReq{AppID: "a", Resource: "r", ProtocolIDs: []string{"pad-gzip"}, HaveVersion: 1},
 		MsgAppRep:         AppRep{Resource: "r", Version: 2, PADID: "pad-gzip", Payload: []byte{9}},
 		MsgError:          ErrorRep{Message: "boom"},
+		MsgAppMetaPush:    AppMetaPush{App: core.AppMeta{AppID: "a", PADs: []core.PADMeta{{ID: "pad-direct", Protocol: "direct"}}}},
+		MsgAppMetaAck:     AppMetaAck{OK: false, Reason: "bad topology"},
+	}
+	if len(bodies) != int(msgMax)-1 {
+		t.Fatalf("%d bodies cover %d message types", len(bodies), int(msgMax)-1)
 	}
 	var buf bytes.Buffer
 	seq := uint32(0)
 	for mt, body := range bodies {
 		seq++
-		if err := WriteMessage(&buf, Header{Version: Version, Type: mt, Seq: seq}, body); err != nil {
+		if err := writeFrame(&buf, Header{Type: mt, Seq: seq}, body); err != nil {
 			t.Fatalf("%v: %v", mt, err)
 		}
 	}
 	for i := 0; i < len(bodies); i++ {
-		h, _, err := ReadMessage(&buf)
+		h, raw, err := ReadMessage(&buf)
 		if err != nil {
 			t.Fatalf("message %d: %v", i, err)
 		}
-		if _, ok := bodies[h.Type]; !ok {
+		want, ok := bodies[h.Type]
+		if !ok {
 			t.Fatalf("read unexpected type %v", h.Type)
+		}
+		got := reflect.New(reflect.TypeOf(want))
+		if err := DecodeRaw(h, raw, got.Interface()); err != nil {
+			t.Fatalf("%v: %v", h.Type, err)
+		}
+		if !reflect.DeepEqual(got.Elem().Interface(), want) {
+			t.Fatalf("%v decoded %+v, want %+v", h.Type, got.Elem().Interface(), want)
 		}
 	}
 	if buf.Len() != 0 {
@@ -79,10 +93,10 @@ func TestMsgTypeStrings(t *testing.T) {
 
 func TestWriteMessageRejectsInvalidType(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInvalid}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Type: MsgInvalid}, nil); err == nil {
 		t.Fatal("invalid type written")
 	}
-	if err := WriteMessage(&buf, Header{Version: Version, Type: msgMax}, nil); err == nil {
+	if err := writeFrame(&buf, Header{Type: msgMax}, nil); err == nil {
 		t.Fatal("out-of-range type written")
 	}
 }
@@ -90,7 +104,7 @@ func TestWriteMessageRejectsInvalidType(t *testing.T) {
 func TestReadMessageRejectsCorruptFrames(t *testing.T) {
 	good := func() []byte {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
+		if err := writeFrame(&buf, Header{Type: MsgInitRep, Seq: 1}, InitRep{OK: true}); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -223,7 +237,7 @@ func TestConnSequenceNumbersIncrease(t *testing.T) {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(app, res string, seq uint32) bool {
 		var buf bytes.Buffer
-		if err := WriteMessage(&buf, Header{Version: Version, Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
+		if err := writeFrame(&buf, Header{Type: MsgInitReq, Seq: seq}, InitReq{AppID: app, Resource: res}); err != nil {
 			return false
 		}
 		h, raw, err := ReadMessage(&buf)
@@ -231,7 +245,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			return false
 		}
 		var got InitReq
-		if err := DecodeBody(raw, &got); err != nil {
+		if err := DecodeRaw(h, raw, &got); err != nil {
 			return false
 		}
 		return got.AppID == app && got.Resource == res

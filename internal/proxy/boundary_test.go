@@ -1,9 +1,10 @@
 package proxy
 
 import (
-	"bytes"
+	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,26 +12,17 @@ import (
 	"fractal/internal/netsim"
 )
 
-// These tests pin ServeConn's persistent-connection boundary semantics:
-// a peer that disconnects *between* sessions is a clean goodbye
-// (ServeConn returns nil), while EOF mid-header or mid-body is a
-// protocol error — and the distinction must hold identically whether the
-// session ran v1 JSON or the Version2 binary fast path, over real TCP or
-// the in-memory netsim stream the simulations use.
+// These tests pin ServeConn's persistent-connection boundary semantics
+// for every role: a peer that disconnects *between* sessions is a clean
+// goodbye (ServeConn returns nil, and Serve logs nothing), while EOF
+// before the first message, mid-header, or mid-body is a protocol error —
+// over real TCP and the in-memory netsim stream the simulations use.
 
-var boundaryMatrix = []struct {
-	transport string
-	binary    bool
-}{
-	{"tcp", false},
-	{"tcp", true},
-	{"netsim", false},
-	{"netsim", true},
-}
+var transports = []string{"tcp", "netsim"}
 
 // startServeConn runs ServeConn on the server end of a fresh transport
 // pair and returns the client end plus the ServeConn result channel.
-func startServeConn(t *testing.T, transport string, srv *Server) (net.Conn, chan error) {
+func startServeConn(t *testing.T, transport string, srv roleServer) (net.Conn, chan error) {
 	t.Helper()
 	errc := make(chan error, 1)
 	if transport == "netsim" {
@@ -73,90 +65,70 @@ func closeWriteEnd(t *testing.T, conn net.Conn) {
 	}
 }
 
-// negotiateOnce drives one full Figure 4 exchange from the client end,
-// optionally advertising the binary fast path.
-func negotiateOnce(t *testing.T, c *inp.Conn, binary bool) {
-	t.Helper()
-	wv := 0
-	if binary {
-		wv = inp.Version2
-	}
-	var initRep inp.InitRep
-	if err := c.Call(inp.MsgInitReq, inp.InitReq{AppID: "webapp", WireVersion: wv}, inp.MsgInitRep, &initRep); err != nil {
-		t.Fatalf("INIT: %v", err)
-	}
-	if !initRep.OK {
-		t.Fatalf("INIT refused: %s", initRep.Reason)
-	}
-	var tmpl inp.CliMetaReq
-	if err := c.RecvInto(inp.MsgCliMetaReq, &tmpl); err != nil {
-		t.Fatalf("CLI_META_REQ: %v", err)
-	}
-	env := desktopEnv()
-	var padRep inp.PADMetaRep
-	if err := c.Call(inp.MsgCliMetaRep,
-		inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75},
-		inp.MsgPADMetaRep, &padRep); err != nil {
-		t.Fatalf("metadata exchange: %v", err)
-	}
-	if len(padRep.PADs) == 0 {
-		t.Fatal("negotiated zero PADs")
-	}
-	if c.BinaryEnabled() != binary {
-		t.Fatalf("client binary state = %v after negotiation, want %v", c.BinaryEnabled(), binary)
+// forEachRole runs fn once per transport and role.
+func forEachRole(t *testing.T, fn func(t *testing.T, transport string, r role)) {
+	for _, transport := range transports {
+		t.Run(transport, func(t *testing.T) {
+			for _, r := range roles {
+				t.Run(r.name, func(t *testing.T) { fn(t, transport, r) })
+			}
+		})
 	}
 }
 
-func waitServeConn(t *testing.T, errc chan error) error {
-	t.Helper()
-	select {
-	case err := <-errc:
-		return err
-	case <-time.After(5 * time.Second):
-		t.Fatal("ServeConn did not return")
-		return nil
-	}
-}
-
-// renderInitFrame builds the wire bytes of an INIT_REQ frame with the
-// given sequence number, in the requested encoding.
-func renderInitFrame(t *testing.T, seq uint32, binary bool) []byte {
-	t.Helper()
-	h := inp.Header{Version: inp.Version, Type: inp.MsgInitReq, Seq: seq}
-	wv := 0
-	if binary {
-		h.Version = inp.Version2
-		wv = inp.Version2
-	}
-	var buf bytes.Buffer
-	fw := inp.NewFrameWriter(&buf)
-	if err := fw.WriteMessage(h, inp.InitReq{AppID: "webapp", WireVersion: wv}); err != nil {
-		t.Fatal(err)
-	}
-	if err := fw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestServeConnCleanEOFAtSessionBoundary: two back-to-back negotiations
-// on one connection (the persistent-conn case), then a half-close at the
+// TestServeConnCleanEOFAtSessionBoundary: two back-to-back sessions on
+// one connection (the persistent-conn case), then a half-close at the
 // boundary. ServeConn must report a clean nil.
 func TestServeConnCleanEOFAtSessionBoundary(t *testing.T) {
-	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
-			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
+	forEachRole(t, func(t *testing.T, transport string, r role) {
+		conn, errc := startServeConn(t, transport, r.start(t, 4, t.Logf))
+		defer conn.Close()
+		c := inp.NewConn(conn)
+		for i := 0; i < 2; i++ {
+			if err := r.session(c); err != nil {
+				t.Fatalf("session %d: %v", i, err)
+			}
+		}
+		closeWriteEnd(t, conn)
+		if err := waitErr(t, "ServeConn", errc); err != nil {
+			t.Fatalf("clean boundary EOF => %v, want nil", err)
+		}
+	})
+}
+
+// TestServeCleanEOFLogsNothing: the same clean goodbye through the accept
+// loop must not reach the session-error log.
+func TestServeCleanEOFLogsNothing(t *testing.T) {
+	for _, r := range roles {
+		t.Run(r.name, func(t *testing.T) {
+			var logged atomic.Int32
+			srv := r.start(t, 4, func(format string, args ...interface{}) {
+				logged.Add(1)
+				t.Logf(format, args...)
+			})
+			addr, serveDone := serveOnLoopback(t, srv)
+			conn, err := net.Dial("tcp", addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			conn, errc := startServeConn(t, tc.transport, srv)
 			defer conn.Close()
-			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			negotiateOnce(t, c, tc.binary) // re-negotiation on the same conn
+			if err := r.session(inp.NewConn(conn)); err != nil {
+				t.Fatal(err)
+			}
 			closeWriteEnd(t, conn)
-			if err := waitServeConn(t, errc); err != nil {
-				t.Fatalf("clean boundary EOF => %v, want nil", err)
+			// The server closes its end once it sees the boundary EOF.
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("server end after boundary EOF: read %v, want EOF", err)
+			}
+			if err := srv.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+			if err := waitErr(t, "Serve", serveDone); err != nil {
+				t.Errorf("serve returned %v", err)
+			}
+			if n := logged.Load(); n != 0 {
+				t.Errorf("clean boundary EOF logged %d session errors", n)
 			}
 		})
 	}
@@ -165,78 +137,51 @@ func TestServeConnCleanEOFAtSessionBoundary(t *testing.T) {
 // TestServeConnEOFBeforeFirstMessage: a connection that closes without a
 // single frame is an error, not a clean session.
 func TestServeConnEOFBeforeFirstMessage(t *testing.T) {
-	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport, func(t *testing.T) {
-			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, errc := startServeConn(t, tc.transport, srv)
-			defer conn.Close()
-			closeWriteEnd(t, conn)
-			err = waitServeConn(t, errc)
-			if err == nil || !strings.Contains(err.Error(), "reading first message") {
-				t.Fatalf("EOF before first message => %v, want reading-first-message error", err)
-			}
-		})
+	forEachRole(t, func(t *testing.T, transport string, r role) {
+		conn, errc := startServeConn(t, transport, r.start(t, 4, t.Logf))
+		defer conn.Close()
+		closeWriteEnd(t, conn)
+		err := waitErr(t, "ServeConn", errc)
+		if err == nil || !strings.Contains(err.Error(), "reading first message") {
+			t.Fatalf("EOF before first message => %v, want reading-first-message error", err)
+		}
+	})
+}
+
+// truncatedSession runs one complete session, then sends the first cut
+// bytes of the next session's opening frame and half-closes.
+func truncatedSession(t *testing.T, transport string, r role, cut func(frame []byte) []byte) error {
+	t.Helper()
+	conn, errc := startServeConn(t, transport, r.start(t, 4, t.Logf))
+	defer conn.Close()
+	if err := r.session(inp.NewConn(conn)); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := conn.Write(cut(r.renderOpener(t))); err != nil {
+		t.Fatal(err)
+	}
+	closeWriteEnd(t, conn)
+	return waitErr(t, "ServeConn", errc)
 }
 
 // TestServeConnEOFMidHeader: a partial header after a completed session
 // is a protocol error, not a boundary.
 func TestServeConnEOFMidHeader(t *testing.T) {
-	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
-			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, errc := startServeConn(t, tc.transport, srv)
-			defer conn.Close()
-			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			frame := renderInitFrame(t, 3, tc.binary)
-			if _, err := conn.Write(frame[:7]); err != nil {
-				t.Fatal(err)
-			}
-			closeWriteEnd(t, conn)
-			err = waitServeConn(t, errc)
-			if err == nil || !strings.Contains(err.Error(), "reading next session") {
-				t.Fatalf("EOF mid-header => %v, want reading-next-session error", err)
-			}
-		})
-	}
+	forEachRole(t, func(t *testing.T, transport string, r role) {
+		err := truncatedSession(t, transport, r, func(f []byte) []byte { return f[:7] })
+		if err == nil || !strings.Contains(err.Error(), "reading next session") {
+			t.Fatalf("EOF mid-header => %v, want reading-next-session error", err)
+		}
+	})
 }
 
 // TestServeConnEOFMidBody: a complete header whose body never finishes
-// is a protocol error, under both encodings.
+// is a protocol error.
 func TestServeConnEOFMidBody(t *testing.T) {
-	for _, tc := range boundaryMatrix {
-		t.Run(tc.transport+"/"+encName(tc.binary), func(t *testing.T) {
-			srv, err := NewServer(newTestProxy(t), 4, t.Logf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			conn, errc := startServeConn(t, tc.transport, srv)
-			defer conn.Close()
-			c := inp.NewConn(conn)
-			negotiateOnce(t, c, tc.binary)
-			frame := renderInitFrame(t, 3, tc.binary)
-			if _, err := conn.Write(frame[:len(frame)-3]); err != nil {
-				t.Fatal(err)
-			}
-			closeWriteEnd(t, conn)
-			err = waitServeConn(t, errc)
-			if err == nil || !strings.Contains(err.Error(), "reading next session") {
-				t.Fatalf("EOF mid-body => %v, want reading-next-session error", err)
-			}
-		})
-	}
-}
-
-func encName(binary bool) string {
-	if binary {
-		return "binary"
-	}
-	return "json"
+	forEachRole(t, func(t *testing.T, transport string, r role) {
+		err := truncatedSession(t, transport, r, func(f []byte) []byte { return f[:len(f)-3] })
+		if err == nil || !strings.Contains(err.Error(), "reading next session") {
+			t.Fatalf("EOF mid-body => %v, want reading-next-session error", err)
+		}
+	})
 }

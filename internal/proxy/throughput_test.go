@@ -1,13 +1,11 @@
 package proxy
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
 
 	"fractal/internal/core"
-	"fractal/internal/inp"
 )
 
 // TestNegotiateSingleflightExactlyOneSearchPerKey is the cold-cache
@@ -127,123 +125,5 @@ func TestNegotiateStatsSequential(t *testing.T) {
 	}
 	if st := p.Stats(); st.Searches != 1 || st.CacheHits != 1 {
 		t.Fatalf("after warm negotiation: %+v", st)
-	}
-}
-
-// partialNegotiation opens a session and stops after receiving the
-// CLI_META_REQ template, leaving the server goroutine blocked waiting for
-// the client metadata. finish completes the exchange.
-func partialNegotiation(t *testing.T, addr string) (finish func() error, abort func()) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := inp.NewConn(conn)
-	var initRep inp.InitRep
-	if err := c.Call(inp.MsgInitReq, inp.InitReq{AppID: "webapp"}, inp.MsgInitRep, &initRep); err != nil {
-		conn.Close()
-		t.Fatal(err)
-	}
-	var tmpl inp.CliMetaReq
-	if err := c.RecvInto(inp.MsgCliMetaReq, &tmpl); err != nil {
-		conn.Close()
-		t.Fatal(err)
-	}
-	env := desktopEnv()
-	return func() error {
-		defer conn.Close()
-		var padRep inp.PADMetaRep
-		return c.Call(inp.MsgCliMetaRep, inp.CliMetaRep{Dev: env.Dev, Ntwk: env.Ntwk, SessionRequests: 75}, inp.MsgPADMetaRep, &padRep)
-	}, func() { conn.Close() }
-}
-
-// TestServerCloseDrainsInFlightSessions is the regression test for Close
-// returning while sessions were still running: Close must block until the
-// in-flight negotiation completes.
-func TestServerCloseDrainsInFlightSessions(t *testing.T) {
-	p := newTestProxy(t)
-	srv, err := NewServer(p, 4, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	finish, abort := partialNegotiation(t, ln.Addr().String())
-	defer abort()
-
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- srv.Close() }()
-
-	select {
-	case err := <-closeDone:
-		t.Fatalf("Close returned (%v) while a session was still in flight", err)
-	case <-time.After(100 * time.Millisecond):
-		// Close is correctly blocked on the open session.
-	}
-
-	if err := finish(); err != nil {
-		t.Fatalf("in-flight session failed to complete during shutdown: %v", err)
-	}
-	if err := <-closeDone; err != nil {
-		t.Errorf("close: %v", err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Errorf("serve returned %v", err)
-	}
-}
-
-// TestServerCloseUnblocksSemaphoreWait covers the second half of the
-// shutdown bug: with the concurrency limit saturated, the accept loop sits
-// blocked handing a new connection a semaphore slot; Close must unblock it
-// (dropping the pending connection) instead of letting the connection be
-// served after shutdown began.
-func TestServerCloseUnblocksSemaphoreWait(t *testing.T) {
-	p := newTestProxy(t)
-	srv, err := NewServer(p, 1, t.Logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-
-	// Session 1 occupies the only slot and stays in flight.
-	finish, abort := partialNegotiation(t, ln.Addr().String())
-	defer abort()
-
-	// Session 2 is accepted but cannot get a slot.
-	conn2, err := net.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	time.Sleep(50 * time.Millisecond) // let the accept loop block on the semaphore
-
-	closeDone := make(chan error, 1)
-	go func() { closeDone <- srv.Close() }()
-
-	// The pending connection must be dropped, not served.
-	_ = conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn2.Read(make([]byte, 1)); err == nil {
-		t.Error("pending connection was served after Close")
-	}
-
-	if err := finish(); err != nil {
-		t.Fatalf("in-flight session failed during shutdown: %v", err)
-	}
-	if err := <-closeDone; err != nil {
-		t.Errorf("close: %v", err)
-	}
-	if err := <-serveDone; err != nil {
-		t.Errorf("serve returned %v", err)
 	}
 }
