@@ -375,10 +375,9 @@ func blockingCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 // serializes the whole tier behind one slow shard, so the cross-shard
 // fan-out must snapshot its ledger and release before sending.
 var proxyShardSends = map[string]bool{
-	"PushAppMeta":    true,
-	"Negotiate":      true,
-	"NegotiateFor":   true,
-	"NegotiateKeyed": true,
+	"PushAppMeta":  true,
+	"Negotiate":    true,
+	"NegotiateFor": true,
 }
 
 // inpConnExchanges are the inp.Conn methods that perform (or commit the

@@ -54,7 +54,7 @@ func selfDeadlock(s *state) {
 	s.mu.Unlock()
 }
 
-func heldAcrossSingleflight(s *state, g *syncx.Group[int]) {
+func heldAcrossSingleflight(s *state, g *syncx.Group[string, int]) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	g.Do("k", func() (int, error) { return 0, nil }) //want lockheld:2

@@ -32,9 +32,9 @@ func pushHoldingLedger(t *tier, app core.AppMeta) {
 
 // negotiateHoldingLedger routes a session while holding the ledger: the
 // shard-side negotiation may join or run a collapsed search.
-func negotiateHoldingLedger(t *tier, key string, env core.Env) ([]core.PADMeta, error) {
+func negotiateHoldingLedger(t *tier, env core.Env) ([]core.PADMeta, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	pads, _, err := t.shards[0].NegotiateKeyed(key, "", "app", env, 1) //want lockheld:18
+	pads, _, err := t.shards[0].NegotiateFor("", "app", env, 1) //want lockheld:18
 	return pads, err
 }

@@ -40,7 +40,7 @@ func pushSnapshotThenSend(t *tier, app core.AppMeta) error {
 
 // negotiateUnlocked routes without touching the ledger at all: the
 // routing function is pure and the shard owns its own synchronization.
-func negotiateUnlocked(t *tier, key string, env core.Env) ([]core.PADMeta, error) {
-	pads, _, err := t.shards[0].NegotiateKeyed(key, "", "app", env, 1)
+func negotiateUnlocked(t *tier, env core.Env) ([]core.PADMeta, error) {
+	pads, _, err := t.shards[0].NegotiateFor("", "app", env, 1)
 	return pads, err
 }

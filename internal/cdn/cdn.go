@@ -93,7 +93,7 @@ type Edge struct {
 	cache  *lruCache
 	// sf collapses concurrent cache misses for the same path into one
 	// origin fill.
-	sf             syncx.Group[fillResult]
+	sf             syncx.Group[string, fillResult]
 	hits           atomic.Int64
 	misses         atomic.Int64
 	originFills    atomic.Int64

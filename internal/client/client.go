@@ -112,7 +112,7 @@ type Client struct {
 	// negFlight collapses concurrent cold-start negotiations per appID:
 	// one leader negotiates and deploys, stampeding callers share its
 	// result instead of opening duplicate proxy exchanges.
-	negFlight syncx.Group[[]core.PADMeta]
+	negFlight syncx.Group[string, []core.PADMeta]
 
 	mu sync.Mutex
 	// protocolCache is the paper's client-side protocol cache: PADMeta

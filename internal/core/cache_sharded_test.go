@@ -7,12 +7,10 @@ import (
 )
 
 func shardedTestKey(app string, i int) CacheKey {
-	return CacheKey{
-		AppID:     app,
-		Principal: "tester",
-		Dev:       DevMeta{OSType: OSFedora, CPUType: CPUTypeP4, CPUMHz: float64(1000 + i), MemMB: 512},
-		Ntwk:      NtwkMeta{NetworkType: NetLAN, BandwidthKbps: 100000},
-	}
+	return NewCacheKey(app, "tester", Env{
+		Dev:  DevMeta{OSType: OSFedora, CPUType: CPUTypeP4, CPUMHz: float64(1000 + i), MemMB: 512},
+		Ntwk: NtwkMeta{NetworkType: NetLAN, BandwidthKbps: 100000},
+	})
 }
 
 func TestAdaptationCacheShardCount(t *testing.T) {

@@ -27,6 +27,14 @@ func TestMetadataValidation(t *testing.T) {
 		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 0}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: 1}},
 		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "", BandwidthKbps: 1}},
 		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: 0}},
+		// Non-finite scalars: NaN <= 0 is false, so only an explicit
+		// finiteness check refuses these.
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: math.NaN(), MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: 1}},
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: math.Inf(1), MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: 1}},
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: math.Inf(-1), MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: 1}},
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: math.NaN()}},
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: math.Inf(1)}},
+		{Dev: DevMeta{OSType: "o", CPUType: "x", CPUMHz: 1, MemMB: 1}, Ntwk: NtwkMeta{NetworkType: "n", BandwidthKbps: math.Inf(-1)}},
 	}
 	for i, e := range bad {
 		if err := e.Validate(); err == nil {
@@ -626,7 +634,7 @@ func TestAdaptationCacheBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := validEnv()
-	k1 := CacheKey{AppID: "app", Dev: env.Dev, Ntwk: env.Ntwk}
+	k1 := NewCacheKey("app", "", env)
 	if _, ok := c.Get(k1); ok {
 		t.Fatal("empty cache hit")
 	}
@@ -655,7 +663,7 @@ func TestAdaptationCacheLRUEviction(t *testing.T) {
 	mk := func(mhz float64) CacheKey {
 		e := validEnv()
 		e.Dev.CPUMHz = mhz
-		return CacheKey{AppID: "app", Dev: e.Dev, Ntwk: e.Ntwk}
+		return NewCacheKey("app", "", e)
 	}
 	c.Put(mk(1), nil)
 	c.Put(mk(2), nil)
@@ -678,16 +686,41 @@ func TestAdaptationCacheInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	env := validEnv()
-	c.Put(CacheKey{AppID: "app-a", Dev: env.Dev, Ntwk: env.Ntwk}, nil)
-	c.Put(CacheKey{AppID: "app-b", Dev: env.Dev, Ntwk: env.Ntwk}, nil)
+	c.Put(NewCacheKey("app-a", "", env), nil)
+	c.Put(NewCacheKey("app-b", "", env), nil)
 	if n := c.Invalidate("app-a"); n != 1 {
 		t.Fatalf("invalidated %d entries, want 1", n)
 	}
 	if c.Len() != 1 {
 		t.Fatalf("cache len = %d after invalidate, want 1", c.Len())
 	}
-	if _, ok := c.Get(CacheKey{AppID: "app-b", Dev: env.Dev, Ntwk: env.Ntwk}); !ok {
+	if _, ok := c.Get(NewCacheKey("app-b", "", env)); !ok {
 		t.Fatal("unrelated app entry dropped")
+	}
+
+	// An application id may contain '|'; the per-app index must still
+	// file the entry under its own id.
+	c.Put(NewCacheKey("news|v2", "", env), nil)
+	if n := c.Invalidate("news|v2"); n != 1 {
+		t.Fatalf("Invalidate(%q) dropped %d entries, want 1", "news|v2", n)
+	}
+	if _, ok := c.Get(NewCacheKey("news|v2", "", env)); ok {
+		t.Fatal("invalidated entry for a '|' app id still served")
+	}
+
+	// An app id and principal that would render to the same "app=…|who=…"
+	// text are two entries, each invalidated only with its own app.
+	a, b := NewCacheKey("a|who=b", "", env), NewCacheKey("a", "b|who=", env)
+	c.Put(a, []PADMeta{{ID: "for-a", Protocol: "x"}})
+	if got, ok := c.Get(b); ok {
+		t.Fatalf("principal %q was served app %q's entry %v", "b|who=", "a|who=b", got)
+	}
+	c.Put(b, []PADMeta{{ID: "for-b", Protocol: "x"}})
+	if n := c.Invalidate("a"); n != 1 {
+		t.Fatalf("Invalidate(%q) dropped %d entries, want 1", "a", n)
+	}
+	if got, ok := c.Get(a); !ok || got[0].ID != "for-a" {
+		t.Fatalf("Get(%q) after Invalidate(%q) = %v, %v", "a|who=b", "a", got, ok)
 	}
 }
 

@@ -9,7 +9,7 @@ package core
 import (
 	"crypto/sha1"
 	"fmt"
-	"strconv"
+	"math"
 	"time"
 )
 
@@ -27,8 +27,8 @@ func (d DevMeta) Validate() error {
 	if d.OSType == "" || d.CPUType == "" {
 		return fmt.Errorf("core: DevMeta needs OS and CPU types, got %q/%q", d.OSType, d.CPUType)
 	}
-	if d.CPUMHz <= 0 {
-		return fmt.Errorf("core: DevMeta CPU speed must be positive, got %v", d.CPUMHz)
+	if !positiveFinite(d.CPUMHz) {
+		return fmt.Errorf("core: DevMeta CPU speed must be positive and finite, got %v", d.CPUMHz)
 	}
 	if d.MemMB <= 0 {
 		return fmt.Errorf("core: DevMeta memory must be positive, got %d", d.MemMB)
@@ -36,24 +36,17 @@ func (d DevMeta) Validate() error {
 	return nil
 }
 
-// Key returns a canonical cache-key fragment.
-func (d DevMeta) Key() string {
-	return string(d.appendKey(make([]byte, 0, 64)))
+// positiveFinite reports whether x is a usable speed or bandwidth: NaN
+// and ±Inf are refused, since a NaN never equals itself and so could never
+// find or evict its own adaptation-cache entry.
+func positiveFinite(x float64) bool {
+	return x > 0 && x <= math.MaxFloat64
 }
 
-// appendKey appends the canonical fragment ("os=%s|cpu=%s|mhz=%.0f|mem=%d"
-// rendered without fmt) so CacheKey.String builds the whole key in one
-// buffer. strconv.AppendFloat with 'f'/0 matches %.0f exactly.
-func (d DevMeta) appendKey(b []byte) []byte {
-	b = append(b, "os="...)
-	b = append(b, d.OSType...)
-	b = append(b, "|cpu="...)
-	b = append(b, d.CPUType...)
-	b = append(b, "|mhz="...)
-	b = strconv.AppendFloat(b, d.CPUMHz, 'f', 0, 64)
-	b = append(b, "|mem="...)
-	b = strconv.AppendInt(b, int64(d.MemMB), 10)
-	return b
+// Key renders the device for logs and for the client's persisted
+// protocol cache, whose on-disk format it is part of.
+func (d DevMeta) Key() string {
+	return fmt.Sprintf("os=%s|cpu=%s|mhz=%.0f|mem=%d", d.OSType, d.CPUType, d.CPUMHz, d.MemMB)
 }
 
 // NtwkMeta is the network metadata a client reports:
@@ -68,25 +61,16 @@ func (n NtwkMeta) Validate() error {
 	if n.NetworkType == "" {
 		return fmt.Errorf("core: NtwkMeta needs a network type")
 	}
-	if n.BandwidthKbps <= 0 {
-		return fmt.Errorf("core: NtwkMeta bandwidth must be positive, got %v", n.BandwidthKbps)
+	if !positiveFinite(n.BandwidthKbps) {
+		return fmt.Errorf("core: NtwkMeta bandwidth must be positive and finite, got %v", n.BandwidthKbps)
 	}
 	return nil
 }
 
-// Key returns a canonical cache-key fragment.
+// Key renders the network like DevMeta.Key, and is likewise part of the
+// client's on-disk format.
 func (n NtwkMeta) Key() string {
-	return string(n.appendKey(make([]byte, 0, 32)))
-}
-
-// appendKey appends the canonical fragment ("net=%s|bw=%.0f" rendered
-// without fmt).
-func (n NtwkMeta) appendKey(b []byte) []byte {
-	b = append(b, "net="...)
-	b = append(b, n.NetworkType...)
-	b = append(b, "|bw="...)
-	b = strconv.AppendFloat(b, n.BandwidthKbps, 'f', 0, 64)
-	return b
+	return fmt.Sprintf("net=%s|bw=%.0f", n.NetworkType, n.BandwidthKbps)
 }
 
 // Env is one client environment: the pair the negotiation manager adapts

@@ -223,21 +223,3 @@ func TestFindPathCompiledProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestCacheKeyStringMatchesFmtReference pins the hand-rolled key builders
-// to the original fmt-based rendering.
-func TestCacheKeyStringMatchesFmtReference(t *testing.T) {
-	f := func(app, who, os, cpu, net string, mhz, bw float64, mem uint16) bool {
-		mhzAbs, bwAbs := math.Abs(mhz), math.Abs(bw)
-		d := DevMeta{OSType: os, CPUType: cpu, CPUMHz: mhzAbs, MemMB: int(mem)}
-		n := NtwkMeta{NetworkType: net, BandwidthKbps: bwAbs}
-		k := CacheKey{AppID: app, Principal: who, Dev: d, Ntwk: n}
-		wantDev := fmt.Sprintf("os=%s|cpu=%s|mhz=%.0f|mem=%d", os, cpu, mhzAbs, int(mem))
-		wantNtwk := fmt.Sprintf("net=%s|bw=%.0f", net, bwAbs)
-		wantKey := fmt.Sprintf("app=%s|who=%s|%s|%s", app, who, wantDev, wantNtwk)
-		return d.Key() == wantDev && n.Key() == wantNtwk && k.String() == wantKey
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -210,13 +210,11 @@ func loadApp(version string) core.AppMeta {
 
 // loadProfiles generates the distinct client profiles: a seeded mix of
 // the case study's two device classes and three networks, with scalar
-// CPU/bandwidth spreads that make every profile's canonical cache key
-// unique. Returns the environments, rendered keys, and each profile's
-// rendezvous shard.
-func loadProfiles(cfg FleetLoadConfig, router *fleet.Router) ([]core.Env, []string, []int32) {
+// CPU/bandwidth spreads that make every profile's cache key unique.
+// Returns the environments and each profile's rendezvous shard.
+func loadProfiles(cfg FleetLoadConfig, router *fleet.Router) ([]core.Env, []int32) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	envs := make([]core.Env, cfg.Profiles)
-	keys := make([]string, cfg.Profiles)
 	shards := make([]int32, cfg.Profiles)
 	nets := []struct {
 		name string
@@ -239,10 +237,9 @@ func loadProfiles(cfg FleetLoadConfig, router *fleet.Router) ([]core.Env, []stri
 		dev.CPUMHz += float64(i >> 6)
 		env := core.Env{Dev: dev, Ntwk: core.NtwkMeta{NetworkType: nw.name, BandwidthKbps: nw.bw + float64(i&63)}}
 		envs[i] = env
-		keys[i] = fleet.Key("webapp", "", env)
-		shards[i] = int32(router.Shard(keys[i]))
+		shards[i] = int32(router.Shard(core.NewCacheKey("webapp", "", env).Hash()))
 	}
-	return envs, keys, shards
+	return envs, shards
 }
 
 // arrivalSlots is the resolution of the integer arrival-curve weight
@@ -377,7 +374,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 		return FleetLoadResult{}, err
 	}
 
-	envs, keys, profShard := loadProfiles(cfg, fl.Router())
+	envs, profShard := loadProfiles(cfg, fl.Router())
 
 	// Struct-of-arrays session table: parallel slices, no per-session
 	// struct, no pointers for the GC to chase.
@@ -433,7 +430,7 @@ func RunFleetLoad(cfg FleetLoadConfig) (FleetLoadResult, error) {
 			leaderDone[p] = int64(now + cost)
 		}
 		if driveErr == nil {
-			if _, _, _, err := fl.NegotiateKeyed(keys[p], "", "webapp", envs[p], cfg.SessionRequests); err != nil {
+			if _, _, _, err := fl.NegotiateFor("", "webapp", envs[p], cfg.SessionRequests); err != nil {
 				driveErr = fmt.Errorf("experiment: fleet load session %d (profile %d): %w", sid, p, err)
 			}
 		}

@@ -1,9 +1,14 @@
 package experiment
 
 import (
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"testing"
 	"time"
+
+	"fractal/internal/core"
+	"fractal/internal/fleet"
 )
 
 // smokeLoadConfig is small enough for CI but saturates a single shard.
@@ -196,6 +201,40 @@ func TestFleetLoadConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := RunFleetLoad(cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// TestFleetLoadProfilesRouteAsCanonicalStrings pins BENCH_fleet.json's
+// routing: every default load profile lands on the shard that the FNV-1a
+// 64 hash of its canonical key string ("app=…|who=…|os=…|cpu=…|mhz=%.0f|
+// mem=…|net=…|bw=%.0f"), the form the router once hashed, selects.
+func TestFleetLoadProfilesRouteAsCanonicalStrings(t *testing.T) {
+	for _, shards := range []int{1, 2, 4, 8} {
+		cfg, err := DefaultFleetLoadConfig().normalized()
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := make([]string, shards) // fleet.New's shard names
+		for i := range names {
+			names[i] = fmt.Sprintf("shard-%d", i)
+		}
+		router, err := fleet.NewRouter(names)
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs, profShard := loadProfiles(cfg, router)
+		for i, env := range envs {
+			ref := fmt.Sprintf("app=%s|who=%s|os=%s|cpu=%s|mhz=%.0f|mem=%d|net=%s|bw=%.0f",
+				"webapp", "", env.Dev.OSType, env.Dev.CPUType, env.Dev.CPUMHz, env.Dev.MemMB,
+				env.Ntwk.NetworkType, env.Ntwk.BandwidthKbps)
+			h := fnv.New64a()
+			h.Write([]byte(ref))
+			want := router.Shard(h.Sum64())
+			if got := router.Shard(core.NewCacheKey("webapp", "", env).Hash()); got != want || int(profShard[i]) != want {
+				t.Fatalf("%d shards, profile %d (%s): routed to %d (harness %d), canonical string routes to %d",
+					shards, i, ref, got, profShard[i], want)
+			}
 		}
 	}
 }

@@ -58,8 +58,8 @@ type Stats struct {
 }
 
 // Fleet is a sharded adaptation-proxy tier behind one front router:
-// sessions are routed to shards by rendezvous hashing on the canonical
-// cache key (application + principal + client profile), topology pushes
+// sessions are routed to shards by rendezvous hashing on the hash of
+// their core.CacheKey (application + principal + client profile), topology pushes
 // fan out to every shard keyed by a digest of the pushed metadata so
 // duplicate pushes are suppressed per shard, and — optionally — fresh
 // search results are replicated to the key's rendezvous successors.
@@ -192,50 +192,37 @@ func (f *Fleet) PushAppMeta(app core.AppMeta) error {
 	return nil
 }
 
-// Key renders the canonical routing/cache key for one session. It is the
-// same core.CacheKey canonical form the single-proxy cache uses, so a
-// routed session and a single-proxy session index identical cache
-// entries.
-func Key(appID, principal string, env core.Env) string {
-	return core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
-}
-
 // Negotiate routes an anonymous client session to its rendezvous shard
 // and negotiates there. The INP wire is unchanged: a front router
 // terminates the client exchange exactly as a single proxy does, and this
 // is its in-process entry point.
 func (f *Fleet) Negotiate(appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	pads, _, _, err := f.NegotiateKeyed(Key(appID, "", env), "", appID, env, sessionRequests)
+	pads, _, _, err := f.NegotiateFor("", appID, env, sessionRequests)
 	return pads, err
 }
 
-// NegotiateFor is Negotiate with an authenticated principal.
-func (f *Fleet) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	pads, _, _, err := f.NegotiateKeyed(Key(appID, principal, env), principal, appID, env, sessionRequests)
-	return pads, err
-}
-
-// NegotiateKeyed is the routed negotiation for a caller that already
-// rendered the canonical key (the load harness renders each profile's key
-// once): rendezvous-route, negotiate on the owning shard, and on a fresh
-// search optionally replicate the prepared result to the key's rendezvous
-// successors. It reports the owning shard and the shard-side outcome.
+// NegotiateFor is Negotiate with an authenticated principal: route on the
+// session's core.CacheKey hash, negotiate on the owning shard, and on a
+// fresh search optionally replicate the prepared result to the key's
+// rendezvous successors. It reports the shard-side outcome and the owning
+// shard.
 //
 // Collapse of concurrent cold keys needs no fleet-level machinery:
 // routing sends every caller of a key to one shard, whose singleflight
 // (syncx.Group) already runs at most one search per key, so a fleet-wide
 // stampede on a cold key still triggers exactly one path search.
-func (f *Fleet) NegotiateKeyed(key, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, proxy.Outcome, int, error) {
-	shard := f.router.Shard(key)
-	pads, outcome, err := f.shards[shard].NegotiateKeyed(key, principal, appID, env, sessionRequests)
+func (f *Fleet) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, proxy.Outcome, int, error) {
+	h := core.NewCacheKey(appID, principal, env).Hash()
+	shard := f.router.Shard(h)
+	pads, outcome, err := f.shards[shard].NegotiateFor(principal, appID, env, sessionRequests)
 	if err != nil {
 		return nil, outcome, shard, err
 	}
 	if outcome == proxy.OutcomeSearch && f.cfg.Replicas > 1 {
 		var buf [maxReplicas]int
-		ranked := f.router.TopK(key, f.cfg.Replicas, buf[:0])
+		ranked := f.router.TopK(h, f.cfg.Replicas, buf[:0])
 		for _, idx := range ranked[1:] {
-			f.shards[idx].SeedCache(key, pads)
+			f.shards[idx].SeedCache(principal, appID, env, pads)
 			f.replicatedFills.Add(1)
 		}
 	}

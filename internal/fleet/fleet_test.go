@@ -156,12 +156,11 @@ func TestFleetRoutesToOwner(t *testing.T) {
 	f := newTestFleet(t, 8, 1)
 	perShard := make([]int64, 8)
 	for _, env := range testEnvs() {
-		key := Key("webapp", "", env)
-		_, _, shard, err := f.NegotiateKeyed(key, "", "webapp", env, 75)
+		_, _, shard, err := f.NegotiateFor("", "webapp", env, 75)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := f.Router().Shard(key); shard != want {
+		if want := f.Router().Shard(core.NewCacheKey("webapp", "", env).Hash()); shard != want {
 			t.Fatalf("negotiation ran on shard %d, router owns %d", shard, want)
 		}
 		perShard[shard]++
@@ -220,7 +219,7 @@ func TestFleetDigestSuppression(t *testing.T) {
 		t.Fatalf("after changed push: %+v", s)
 	}
 	searches := f.AggregateStats().Searches
-	if _, outcome, _, err := f.NegotiateKeyed(Key("webapp", "", env), "", "webapp", env, 75); err != nil {
+	if _, outcome, _, err := f.NegotiateFor("", "webapp", env, 75); err != nil {
 		t.Fatal(err)
 	} else if outcome != proxy.OutcomeSearch {
 		t.Fatalf("post-invalidation negotiation outcome %v, want search", outcome)
@@ -233,9 +232,7 @@ func TestFleetDigestSuppression(t *testing.T) {
 func TestFleetWarmReplication(t *testing.T) {
 	f := newTestFleet(t, 5, 3)
 	env := testEnvs()[0]
-	key := Key("webapp", "", env)
-
-	pads, outcome, _, err := f.NegotiateKeyed(key, "", "webapp", env, 75)
+	pads, outcome, _, err := f.NegotiateFor("", "webapp", env, 75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,10 +246,10 @@ func TestFleetWarmReplication(t *testing.T) {
 	// Each rendezvous successor must now answer from cache, with no search
 	// of its own, and return the identical prepared result.
 	var buf [maxReplicas]int
-	ranked := f.Router().TopK(key, 3, buf[:0])
+	ranked := f.Router().TopK(core.NewCacheKey("webapp", "", env).Hash(), 3, buf[:0])
 	for _, idx := range ranked[1:] {
 		before := f.ShardStats(idx)
-		got, outcome, err := f.Shard(idx).NegotiateKeyed(key, "", "webapp", env, 75)
+		got, outcome, err := f.Shard(idx).NegotiateFor("", "webapp", env, 75)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +278,7 @@ func TestFleetWarmReplication(t *testing.T) {
 			continue
 		}
 		before := f.ShardStats(i)
-		if _, outcome, err := f.Shard(i).NegotiateKeyed(key, "", "webapp", env, 75); err != nil {
+		if _, outcome, err := f.Shard(i).NegotiateFor("", "webapp", env, 75); err != nil {
 			t.Fatal(err)
 		} else if outcome == proxy.OutcomeHit {
 			t.Fatalf("non-replica shard %d unexpectedly warm", i)
@@ -299,7 +296,6 @@ func TestFleetWarmReplication(t *testing.T) {
 func TestFleetColdKeyStampedeCollapses(t *testing.T) {
 	f := newTestFleet(t, 8, 1)
 	env := testEnvs()[3]
-	key := Key("webapp", "", env)
 
 	const callers = 64
 	var wg sync.WaitGroup
@@ -310,7 +306,7 @@ func TestFleetColdKeyStampedeCollapses(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			<-start
-			_, _, _, err := f.NegotiateKeyed(key, "", "webapp", env, 75)
+			_, _, _, err := f.NegotiateFor("", "webapp", env, 75)
 			errs <- err
 		}()
 	}
@@ -337,17 +333,17 @@ func TestFleetColdKeyStampedeCollapses(t *testing.T) {
 func TestFleetPrincipalPartitioning(t *testing.T) {
 	f := newTestFleet(t, 4, 1)
 	env := testEnvs()[0]
-	if _, err := f.NegotiateFor("alice", "webapp", env, 75); err != nil {
+	if _, _, _, err := f.NegotiateFor("alice", "webapp", env, 75); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.NegotiateFor("bob", "webapp", env, 75); err != nil {
+	if _, _, _, err := f.NegotiateFor("bob", "webapp", env, 75); err != nil {
 		t.Fatal(err)
 	}
 	// Distinct principals must not share cache entries even in one env.
 	if agg := f.AggregateStats(); agg.Searches != 2 {
 		t.Fatalf("two principals shared a search: %+v", agg)
 	}
-	if _, err := f.NegotiateFor("alice", "webapp", env, 75); err != nil {
+	if _, _, _, err := f.NegotiateFor("alice", "webapp", env, 75); err != nil {
 		t.Fatal(err)
 	}
 	if agg := f.AggregateStats(); agg.CacheHits != 1 {

@@ -12,9 +12,10 @@ package fleet
 
 import "fmt"
 
-// Router assigns canonical session keys to shards by highest random
-// weight (rendezvous) hashing: every (key, shard) pair gets a pseudorandom
-// 64-bit score and the key lives on the shard with the highest score.
+// Router assigns session keys to shards by highest random weight
+// (rendezvous) hashing over their 64-bit hash (core.CacheKey.Hash): every
+// (key, shard) pair gets a pseudorandom 64-bit score and the key lives on
+// the shard with the highest score.
 // Unlike a mod-N table, membership changes are minimally disruptive —
 // adding or removing one shard moves only the keys whose top score
 // involved that shard, ~1/N of them — and unlike a consistent-hash ring
@@ -56,13 +57,12 @@ func (r *Router) Shards() int { return len(r.names) }
 // Name returns the i'th shard's name.
 func (r *Router) Name(i int) string { return r.names[i] }
 
-// Shard returns the index of the shard owning key: the one whose
-// (key, shard) score is highest. Ties — a 2^-64 event — resolve to the
-// lower index, deterministically.
+// Shard returns the index of the shard owning the key that hashes to h:
+// the one whose (key, shard) score is highest. Ties — a 2^-64 event —
+// resolve to the lower index, deterministically.
 //
 //fractal:hotpath one routing decision per fleet session
-func (r *Router) Shard(key string) int {
-	h := hash64(key)
+func (r *Router) Shard(h uint64) int {
 	best := 0
 	bestScore := mix64(h ^ r.seeds[0])
 	for i := 1; i < len(r.seeds); i++ {
@@ -73,15 +73,16 @@ func (r *Router) Shard(key string) int {
 	return best
 }
 
-// TopK fills out with the indices of the k highest-scoring shards for
-// key, best first, and returns the filled prefix. out's capacity bounds
-// the work; no allocation occurs. The prefix [0] equals Shard(key); the
+// TopK fills out with the indices of the k highest-scoring shards for the
+// key that hashes to h, best first, and returns the filled prefix. out's
+// capacity bounds the work; no allocation occurs. The prefix [0] equals
+// Shard(h); the
 // rest are the key's rendezvous successors — where the key would move if
 // higher-ranked shards left, and therefore where warm-path replication
 // pays off.
 //
 //fractal:hotpath replication ranking on every cold fill
-func (r *Router) TopK(key string, k int, out []int) []int {
+func (r *Router) TopK(h uint64, k int, out []int) []int {
 	n := len(r.seeds)
 	if k > n {
 		k = n
@@ -90,7 +91,6 @@ func (r *Router) TopK(key string, k int, out []int) []int {
 		return out[:0]
 	}
 	out = out[:0]
-	h := hash64(key)
 	// Selection by repeated scan: k and n are both small (k <= replicas,
 	// n = shard count), so the quadratic bound beats sorting's allocation.
 	for len(out) < k {
@@ -116,9 +116,9 @@ func (r *Router) TopK(key string, k int, out []int) []int {
 	return out
 }
 
-// hash64 is FNV-1a over the key bytes: allocation-free and stable across
-// processes, so a snapshot taken on one host routes identically on
-// another.
+// hash64 is FNV-1a over a shard name's bytes, the same function
+// core.CacheKey.Hash streams over a key: stable across processes, so a
+// snapshot taken on one host routes identically on another.
 func hash64(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037

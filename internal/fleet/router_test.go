@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"fractal/internal/core"
 )
 
 func shardNames(n int) []string {
@@ -14,12 +16,17 @@ func shardNames(n int) []string {
 	return names
 }
 
-func testKeys(n int) []string {
+// testKeys returns the routing hashes of n seeded session keys.
+func testKeys(n int) []uint64 {
 	rng := rand.New(rand.NewSource(1887))
-	keys := make([]string, n)
+	keys := make([]uint64, n)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("app=webapp|who=|os=OS%d|cpu=C%d|mhz=%d|mem=%d|net=N%d|bw=%d",
-			rng.Intn(4), rng.Intn(3), 200+rng.Intn(4000), 16+rng.Intn(1024), rng.Intn(4), 16+rng.Intn(200000))
+		env := core.Env{
+			Dev: core.DevMeta{OSType: fmt.Sprintf("OS%d", rng.Intn(4)), CPUType: fmt.Sprintf("C%d", rng.Intn(3)),
+				CPUMHz: float64(200 + rng.Intn(4000)), MemMB: 16 + rng.Intn(1024)},
+			Ntwk: core.NtwkMeta{NetworkType: fmt.Sprintf("N%d", rng.Intn(4)), BandwidthKbps: float64(16 + rng.Intn(200000))},
+		}
+		keys[i] = core.NewCacheKey("webapp", "", env).Hash()
 	}
 	return keys
 }
@@ -104,7 +111,7 @@ func TestRouterRemoveShardMovesOnlyItsKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nameOf := func(r *Router, k string) string { return r.Name(r.Shard(k)) }
+	nameOf := func(r *Router, k uint64) string { return r.Name(r.Shard(k)) }
 	movedFromRemoved := 0
 	for _, k := range testKeys(keys) {
 		before, after := nameOf(full, k), nameOf(shrunk, k)
@@ -144,10 +151,10 @@ func TestRouterTopK(t *testing.T) {
 			seen[s] = true
 		}
 	}
-	if got := r.TopK("k", 99, buf[:0]); len(got) != 6 {
+	if got := r.TopK(hash64("k"), 99, buf[:0]); len(got) != 6 {
 		t.Fatalf("TopK clamps to shard count: got %d", len(got))
 	}
-	if got := r.TopK("k", 0, buf[:0]); len(got) != 0 {
+	if got := r.TopK(hash64("k"), 0, buf[:0]); len(got) != 0 {
 		t.Fatalf("TopK(0) = %v, want empty", got)
 	}
 }

@@ -122,27 +122,18 @@ func (o Outcome) String() string {
 // considers PADs the policy allows. Concurrent misses for the same cache
 // key collapse into one search: one caller becomes the leader and runs the
 // search, the rest block on its result and are counted as
-// CollapsedSearches.
-func (p *Proxy) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	key := core.CacheKey{AppID: appID, Principal: principal, Dev: env.Dev, Ntwk: env.Ntwk}.String()
-	pads, _, err := p.NegotiateKeyed(key, principal, appID, env, sessionRequests)
-	return pads, err
-}
-
-// NegotiateKeyed is NegotiateFor for a caller that already rendered the
-// canonical cache key (core.CacheKey.String over the same principal, app,
-// and environment), so a front router that routed on the key does not
-// build it twice. It additionally reports how the negotiation was
-// satisfied; the fleet tier uses the outcome to drive warm-path
-// replication and the load harness uses it to assign simulated service
-// times. The warm path (cache hit) allocates only the defensive result
-// copy; the singleflight closure below is built on misses only.
-func (p *Proxy) NegotiateKeyed(key, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, Outcome, error) {
+// CollapsedSearches. It also reports how the negotiation was satisfied;
+// the fleet tier uses the outcome to drive warm-path replication and the
+// load harness uses it to assign simulated service times. The warm path
+// (cache hit) allocates only the defensive result copy; the singleflight
+// closure below is built on misses only.
+func (p *Proxy) NegotiateFor(principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, Outcome, error) {
 	if err := env.Validate(); err != nil {
 		return nil, OutcomeHit, fmt.Errorf("proxy: client metadata: %w", err)
 	}
 	p.negotiations.Add(1)
-	if pads, ok := p.cache.GetKeyed(key); ok {
+	key := core.NewCacheKey(appID, principal, env)
+	if pads, ok := p.cache.Get(key); ok {
 		p.cacheHits.Add(1)
 		return pads, OutcomeHit, nil
 	}
@@ -151,7 +142,7 @@ func (p *Proxy) NegotiateKeyed(key, principal, appID string, env core.Env, sessi
 		// Double-check under leadership: a previous leader may have filled
 		// the cache between our miss and this call, so each unique key runs
 		// at most one search no matter how callers interleave.
-		if pads, ok := p.cache.GetKeyed(key); ok {
+		if pads, ok := p.cache.Get(key); ok {
 			p.cacheHits.Add(1)
 			outcome = OutcomeHit
 			return pads, nil
@@ -170,19 +161,20 @@ func (p *Proxy) NegotiateKeyed(key, principal, appID string, env core.Env, sessi
 	return pads, outcome, err
 }
 
-// SeedCache installs an already-prepared negotiation result under its
-// canonical key, bypassing the path search. The fleet tier uses it for
+// SeedCache installs an already-prepared negotiation result for principal
+// and appID in env, bypassing the path search. The fleet tier uses it for
 // warm-path replication: when one shard fills a cold key, the prepared
 // result may be copied to the key's rendezvous successors so a later
-// membership change finds them warm. pads must already be client-prepared
-// (links redacted, URLs filled); the cache stores a defensive copy.
-func (p *Proxy) SeedCache(key string, pads []core.PADMeta) {
-	p.cache.PutKeyed(key, pads)
+// membership change finds them warm. env must be one NegotiateFor
+// accepted, and pads must already be client-prepared (links redacted,
+// URLs filled); the cache stores a defensive copy.
+func (p *Proxy) SeedCache(principal, appID string, env core.Env, pads []core.PADMeta) {
+	p.cache.Put(core.NewCacheKey(appID, principal, env), pads)
 }
 
 // searchAndFill runs the authorized path search for a cache miss and
-// stores the prepared result under the canonical key.
-func (p *Proxy) searchAndFill(key, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
+// stores the prepared result under key.
+func (p *Proxy) searchAndFill(key core.CacheKey, principal, appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
 	authz := p.authorizer()
 	var filter func(core.PADMeta) bool
 	if authz != nil {
@@ -199,7 +191,7 @@ func (p *Proxy) searchAndFill(key, principal, appID string, env core.Env, sessio
 		return nil, err
 	}
 	pads := prepareForClient(res.PADs)
-	p.cache.PutKeyed(key, pads)
+	p.cache.Put(key, pads)
 	return pads, nil
 }
 

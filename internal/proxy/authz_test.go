@@ -44,14 +44,14 @@ func TestNegotiateForAppliesPolicy(t *testing.T) {
 	}
 	p.SetAuthorizer(pt)
 
-	admin, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
+	admin, _, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if admin[0].Protocol != "bitmap" {
 		t.Fatalf("admin negotiated %s, want bitmap", admin[0].Protocol)
 	}
-	guest, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
+	guest, _, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +72,11 @@ func TestNegotiateForCacheIsolation(t *testing.T) {
 	p.SetAuthorizer(pt)
 	// Same environment, different principals: results must not be shared
 	// through the adaptation cache.
-	full, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
+	full, _, err := p.NegotiateFor("admin", "webapp", pdaEnv(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}
-	restricted, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
+	restricted, _, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestNegotiateForCacheIsolation(t *testing.T) {
 	}
 	// Repeat negotiations hit per-principal entries.
 	before := p.Stats().CacheHits
-	if _, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75); err != nil {
+	if _, _, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75); err != nil {
 		t.Fatal(err)
 	}
 	if p.Stats().CacheHits != before+1 {
@@ -98,11 +98,11 @@ func TestNegotiateForDenyAllFails(t *testing.T) {
 	p.SetAuthorizer(AuthorizerFunc(func(principal, appID string, pad core.PADMeta) bool {
 		return principal != "banned"
 	}))
-	_, err := p.NegotiateFor("banned", "webapp", desktopEnv(), 75)
+	_, _, err := p.NegotiateFor("banned", "webapp", desktopEnv(), 75)
 	if err == nil || !strings.Contains(err.Error(), "no feasible adaptation path") {
 		t.Fatalf("err = %v, want no-feasible-path for fully denied principal", err)
 	}
-	if _, err := p.NegotiateFor("ok", "webapp", desktopEnv(), 75); err != nil {
+	if _, _, err := p.NegotiateFor("ok", "webapp", desktopEnv(), 75); err != nil {
 		t.Fatalf("unrelated principal affected: %v", err)
 	}
 }
@@ -115,7 +115,7 @@ func TestSetAuthorizerNilAllowsAll(t *testing.T) {
 	}
 	p.SetAuthorizer(pt)
 	p.SetAuthorizer(nil)
-	pads, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
+	pads, _, err := p.NegotiateFor("guest", "webapp", pdaEnv(), 75)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ type Proxy struct {
 	cache *core.AdaptationCache
 	// sf collapses concurrent cache-miss negotiations for the same cache
 	// key into one path search (the negotiation-plane singleflight).
-	sf syncx.Group[[]core.PADMeta]
+	sf syncx.Group[core.CacheKey, []core.PADMeta]
 
 	authzMu sync.RWMutex
 	authz   Authorizer
@@ -216,7 +216,8 @@ func (p *Proxy) PushAppMeta(app core.AppMeta) error {
 // in-process entry point; ServeConn wraps it with the INP exchange.
 // Authenticated clients use NegotiateFor.
 func (p *Proxy) Negotiate(appID string, env core.Env, sessionRequests int) ([]core.PADMeta, error) {
-	return p.NegotiateFor("", appID, env, sessionRequests)
+	pads, _, err := p.NegotiateFor("", appID, env, sessionRequests)
+	return pads, err
 }
 
 // prepareForClient is the distribution manager's post-processing: hide

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -135,26 +136,63 @@ func TestNegotiateCacheHit(t *testing.T) {
 }
 
 func TestPushAppMetaInvalidatesCache(t *testing.T) {
+	// An app id may contain '|'; a push must still drop that app's entries.
+	for _, appID := range []string{"webapp", "news|v2"} {
+		p, err := New(testModel(t), 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := testApp()
+		app.AppID = appID
+		if err := p.PushAppMeta(app); err != nil {
+			t.Fatal(err)
+		}
+		env := desktopEnv()
+		if _, err := p.Negotiate(appID, env, 75); err != nil {
+			t.Fatal(err)
+		}
+		// Change the topology so direct disappears; cached result must go.
+		app.PADs = app.PADs[1:]
+		if err := p.PushAppMeta(app); err != nil {
+			t.Fatal(err)
+		}
+		pads, err := p.Negotiate(appID, env, 75)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pads[0].ID == "pad-direct" {
+			t.Fatalf("app %q: stale cached negotiation survived a topology push", appID)
+		}
+		if p.Stats().CacheHits != 0 {
+			t.Fatalf("app %q: cache hit recorded across invalidation", appID)
+		}
+	}
+}
+
+// TestNegotiateForRefusesNonFiniteEnv: NaN never equals itself, so a NaN
+// scalar would add a cache entry no later negotiation could find or evict.
+// The proxy refuses such metadata before it counts or caches anything.
+func TestNegotiateForRefusesNonFiniteEnv(t *testing.T) {
 	p := newTestProxy(t)
-	env := desktopEnv()
-	if _, err := p.Negotiate("webapp", env, 75); err != nil {
+	if _, _, err := p.NegotiateFor("", "webapp", desktopEnv(), 75); err != nil {
 		t.Fatal(err)
 	}
-	// Change the topology so direct disappears; cached result must go.
-	app := testApp()
-	app.PADs = app.PADs[1:]
-	if err := p.PushAppMeta(app); err != nil {
-		t.Fatal(err)
+	before, entries := p.Stats(), p.cache.Len()
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		mhz, bw := desktopEnv(), desktopEnv()
+		mhz.Dev.CPUMHz = x
+		bw.Ntwk.BandwidthKbps = x
+		for _, env := range []core.Env{mhz, bw} {
+			if _, _, err := p.NegotiateFor("", "webapp", env, 75); err == nil {
+				t.Fatalf("negotiation with %+v succeeded", env)
+			}
+		}
 	}
-	pads, err := p.Negotiate("webapp", env, 75)
-	if err != nil {
-		t.Fatal(err)
+	if got := p.Stats().Negotiations; got != before.Negotiations {
+		t.Fatalf("Negotiations = %d after refused envs, want %d", got, before.Negotiations)
 	}
-	if pads[0].ID == "pad-direct" {
-		t.Fatal("stale cached negotiation survived a topology push")
-	}
-	if p.Stats().CacheHits != 0 {
-		t.Fatal("cache hit recorded across invalidation")
+	if got := p.cache.Len(); got != entries {
+		t.Fatalf("cache Len() = %d after refused envs, want %d", got, entries)
 	}
 }
 

@@ -101,7 +101,7 @@ func (s *Server) negotiate(c *inp.Conn, h inp.Header, raw []byte) error {
 	}
 
 	env := core.Env{Dev: meta.Dev, Ntwk: meta.Ntwk}
-	pads, err := s.proxy.NegotiateFor(initReq.ClientID, initReq.AppID, env, meta.SessionRequests)
+	pads, _, err := s.proxy.NegotiateFor(initReq.ClientID, initReq.AppID, env, meta.SessionRequests)
 	if err != nil {
 		// SendError flushes any queued fast-path replies ahead of the
 		// error frame, keeping the stream sequential for the client.

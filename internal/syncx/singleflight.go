@@ -18,24 +18,24 @@ type call[V any] struct {
 	err  error
 }
 
-// Group collapses concurrent Do calls with the same key into a single
-// execution of fn: the first caller (the leader) runs fn, every caller
+// Group collapses concurrent Do calls with the same key (any comparable
+// K) into a single execution of fn: the first caller (the leader) runs fn, every caller
 // that arrives before it finishes blocks and shares the leader's result.
 // Once the leader finishes the key is forgotten, so later calls execute
 // fn again. The zero value is ready to use; a Group must not be copied
 // after first use.
-type Group[V any] struct {
+type Group[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[string]*call[V]
+	m  map[K]*call[V]
 }
 
 // Do executes fn once per concurrent set of callers sharing key. It
 // returns fn's value and error, plus joined=true when this caller shared
 // a leader's execution instead of running fn itself.
-func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined bool) {
+func (g *Group[K, V]) Do(key K, fn func() (V, error)) (v V, err error, joined bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = map[string]*call[V]{}
+		g.m = map[K]*call[V]{}
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()
@@ -51,7 +51,7 @@ func (g *Group[V]) Do(key string, fn func() (V, error)) (v V, err error, joined 
 		if !finished {
 			// fn panicked: the panic propagates to the leader, but
 			// followers must not observe a zero value with a nil error.
-			c.err = fmt.Errorf("syncx: singleflight leader panicked for key %q", key)
+			c.err = fmt.Errorf("syncx: singleflight leader panicked for key %v", key)
 		}
 		g.mu.Lock()
 		delete(g.m, key)

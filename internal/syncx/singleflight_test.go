@@ -8,7 +8,7 @@ import (
 )
 
 func TestDoSequentialCallsReexecute(t *testing.T) {
-	var g Group[int]
+	var g Group[string, int]
 	var runs int32
 	for i := 1; i <= 3; i++ {
 		v, err, joined := g.Do("k", func() (int, error) {
@@ -24,7 +24,7 @@ func TestDoSequentialCallsReexecute(t *testing.T) {
 }
 
 func TestDoPropagatesError(t *testing.T) {
-	var g Group[string]
+	var g Group[string, string]
 	want := errors.New("boom")
 	_, err, _ := g.Do("k", func() (string, error) { return "", want })
 	if !errors.Is(err, want) {
@@ -38,7 +38,7 @@ func TestDoPropagatesError(t *testing.T) {
 }
 
 func TestDoCollapsesConcurrentCallers(t *testing.T) {
-	var g Group[int]
+	var g Group[string, int]
 	var runs atomic.Int32
 	gate := make(chan struct{})
 	arrived := make(chan struct{})
@@ -94,7 +94,7 @@ func TestDoCollapsesConcurrentCallers(t *testing.T) {
 }
 
 func TestDoLeaderPanicSurfacesErrorToFollowers(t *testing.T) {
-	var g Group[int]
+	var g Group[string, int]
 	arrived := make(chan struct{})
 	gate := make(chan struct{})
 	followerDone := make(chan error, 1)
