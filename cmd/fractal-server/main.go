@@ -113,8 +113,8 @@ func main() {
 		signal.Notify(ch, syscall.SIGINT, syscall.SIGTERM)
 		sig := <-ch
 		st := app.Stats()
-		log.Printf("fractal-server: received %v (requests %d, reactive %d, precomputed %d)",
-			sig, st.Requests, st.ReactiveEncod, st.PrecomputeHits)
+		log.Printf("fractal-server: received %v (requests %d, reactive %d, precomputed %d, memoized %d)",
+			sig, st.Requests, st.ReactiveEncod, st.PrecomputeHits, st.MemoHits)
 		_ = srv.Close()
 	}()
 	if err := srv.Serve(ln); err != nil {

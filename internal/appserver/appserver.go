@@ -21,6 +21,7 @@ import (
 	"fractal/internal/core"
 	"fractal/internal/mobilecode"
 	"fractal/internal/mobilecode/verify"
+	"fractal/internal/syncx"
 	"fractal/internal/transcode"
 	"fractal/internal/workload"
 )
@@ -30,7 +31,11 @@ type Strategy int
 
 const (
 	// Reactive computes each encoding on demand: small memory, CPU per
-	// request (the default in Figures 10(a–c)/11(b)).
+	// request (the default in Figures 10(a–c)/11(b)). Protocols whose
+	// payload ignores the client's version (codec.OldIndependent: Direct,
+	// Gzip) are encoded once per content version and the payload is
+	// reused until the next InstallCorpus; differencing protocols encode
+	// per request.
 	Reactive Strategy = iota
 	// Proactive precomputes encodings so no server-side computing happens
 	// at request time (Figures 10(d)/11(c)).
@@ -54,11 +59,23 @@ type pad struct {
 	meta   core.PADMeta
 }
 
-// Stats counts server activity.
+// Stats counts server activity. Every successful request is counted in
+// exactly one of ReactiveEncod (a codec ran), PrecomputeHits (answered
+// from the proactive store) or MemoHits (answered from the memo of
+// version-independent payloads, including a request that waited for a
+// concurrent encode of the same payload); a failed request counts only
+// in Requests.
 type Stats struct {
 	Requests       int64
 	ReactiveEncod  int64
 	PrecomputeHits int64
+	MemoHits       int64
+}
+
+// Accounted reports whether Requests = ReactiveEncod + PrecomputeHits +
+// MemoHits, which holds whenever no counted request failed.
+func (st Stats) Accounted() bool {
+	return st.Requests == st.ReactiveEncod+st.PrecomputeHits+st.MemoHits
 }
 
 // serverChunkCacheEntries bounds the server's shared chunk-index cache.
@@ -69,9 +86,10 @@ const serverChunkCacheEntries = 512
 
 // Server is one Fractal application server instance. Server is safe for
 // concurrent use: all mutable state (resources, PADs, transcoders, the
-// encode cache, and stats) is guarded by a single RWMutex, so many
-// sessions may encode and negotiate at once. The chunk-index cache shared
-// by the differencing PADs is internally synchronized.
+// proactive store, the memo) is guarded by a single RWMutex and the
+// counters are atomic, so many sessions may encode and negotiate at once.
+// The chunk-index cache shared by the differencing PADs is internally
+// synchronized.
 type Server struct {
 	appID  string
 	signer *mobilecode.Signer
@@ -83,13 +101,42 @@ type Server struct {
 	protoPAD    map[string]string               // protocol name -> PAD id
 	transcoders map[string]transcode.Transcoder // content-adaptation PADs by id
 	strategy    Strategy
-	// precomputed holds proactive encodings keyed by
-	// "padID|resource|haveVersion".
-	precomputed map[string][]byte
+	// precomputed holds the proactive encodings, one per encKey.
+	precomputed map[encKey][]byte
+	// memo holds one payload per (transcoder, old-independent module,
+	// resource) — have is always 0 — tagged with the content version it
+	// encodes; it is served only while that version is current, so it is
+	// bounded by the corpus and needs no eviction.
+	memo map[encKey]memoEntry
+	// memoFlight collapses concurrent memo misses for one payload.
+	memoFlight syncx.Group[memoFlightKey, memoEntry]
 
 	requests    atomic.Int64
 	reactive    atomic.Int64
 	precompHits atomic.Int64
+	memoHits    atomic.Int64
+}
+
+// encKey names one stored encoding: the transcoder applied to the content
+// first ("" = none), the communication PAD's module id, the resource, and
+// the version the client holds.
+type encKey struct {
+	transcoder, module, resource string
+	have                         int
+}
+
+// memoEntry is a memoized payload and the content version it encodes.
+type memoEntry struct {
+	version      int
+	payload      []byte
+	contentBytes int64 // size of the (transcoded) content it encodes
+}
+
+// memoFlightKey names one encode of a memo entry: concurrent misses
+// collapse only when they want the same content version.
+type memoFlightKey struct {
+	key     encKey
+	version int
 }
 
 // New builds an application server. The signer is the code-signing
@@ -109,7 +156,8 @@ func New(appID string, signer *mobilecode.Signer) (*Server, error) {
 		pads:        map[string]*pad{},
 		protoPAD:    map[string]string{},
 		transcoders: map[string]transcode.Transcoder{},
-		precomputed: map[string][]byte{},
+		precomputed: map[encKey][]byte{},
+		memo:        map[encKey]memoEntry{},
 	}, nil
 }
 
@@ -143,7 +191,9 @@ func (s *Server) Strategy() Strategy {
 // page contributes its serialized versions in order. Calling it again
 // appends further versions to the existing chains (a content update on a
 // live server); with the proactive strategy active, the precomputed store
-// is rebuilt so no stale encodings survive the update.
+// is rebuilt so no stale encodings survive the update. Memoized payloads
+// of the updated resources become stale by their version tag and are
+// re-encoded on their next request.
 func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 	if len(versions) == 0 {
 		return fmt.Errorf("appserver: no corpus versions to install")
@@ -166,7 +216,7 @@ func (s *Server) InstallCorpus(versions ...*workload.Corpus) error {
 		}
 	}
 	if s.strategy == Proactive {
-		s.precomputed = map[string][]byte{}
+		s.precomputed = map[encKey][]byte{}
 		return s.precomputeAllLocked()
 	}
 	return nil
@@ -404,7 +454,7 @@ func (s *Server) precomputeAllLocked() error {
 					if err != nil {
 						return fmt.Errorf("appserver: precomputing %s/%s/%s@%d: %w", tcID, id, res, have, err)
 					}
-					s.precomputed[precompKey(tcID, id, res, have)] = payload
+					s.precomputed[encKey{transcoder: tcID, module: id, resource: res, have: have}] = payload
 				}
 			}
 		}
@@ -429,11 +479,9 @@ func (s *Server) transformLocked(tcID string, content []byte) ([]byte, error) {
 	return out, nil
 }
 
-func precompKey(transcoderID, padID, resource string, have int) string {
-	return fmt.Sprintf("%s|%s|%s|%d", transcoderID, padID, resource, have)
-}
-
-// EncodeResult is the outcome of serving one request.
+// EncodeResult is the outcome of serving one request. Payload is
+// read-only: it may alias the server's stored content or a memoized
+// payload shared with other requests.
 type EncodeResult struct {
 	Payload      []byte
 	Version      int
@@ -464,11 +512,7 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 		if chosen != nil {
 			continue
 		}
-		moduleID := id
-		if i := strings.IndexByte(id, '@'); i >= 0 {
-			moduleID = id[:i]
-		}
-		if p, ok := s.pads[moduleID]; ok {
+		if p, ok := s.pads[moduleOf(id)]; ok {
 			chosen, chosenID = p, id
 		}
 	}
@@ -484,17 +528,27 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 	if haveVersion < 0 || haveVersion > curV {
 		return EncodeResult{}, fmt.Errorf("appserver: client claims version %d of %s, newest is %d", haveVersion, resource, curV)
 	}
+	key := encKey{transcoder: tcID, module: moduleOf(chosenID), resource: resource}
 	// Note haveVersion may equal curV (client already current): the old
 	// version is then the current content itself, and differencing
 	// protocols collapse the payload to nearly nothing.
 	if strategy == Proactive {
+		pk := key
+		pk.have = haveVersion
 		s.mu.RLock()
-		payload, ok := s.precomputed[precompKey(tcID, moduleOf(chosenID), resource, haveVersion)]
+		payload, ok := s.precomputed[pk]
 		s.mu.RUnlock()
 		if ok {
 			s.precompHits.Add(1)
 			return EncodeResult{Payload: payload, Version: curV, PADID: chosenID, ContentBytes: int64(len(cur)), Precomputed: true}, nil
 		}
+	}
+	if _, ok := codec.Codec(chosen.impl).(codec.OldIndependent); ok {
+		e, err := s.memoized(key, chosen.impl, cur, curV)
+		if err != nil {
+			return EncodeResult{}, fmt.Errorf("appserver: encoding %s with %s: %w", resource, chosenID, err)
+		}
+		return EncodeResult{Payload: e.payload, Version: curV, PADID: chosenID, ContentBytes: e.contentBytes}, nil
 	}
 	old, err := s.version(resource, haveVersion)
 	if err != nil {
@@ -517,6 +571,61 @@ func (s *Server) Encode(padIDs []string, resource string, haveVersion int) (Enco
 	return EncodeResult{Payload: payload, Version: curV, PADID: chosenID, ContentBytes: int64(len(cur))}, nil
 }
 
+// memoized returns the payload of an old-independent codec for content
+// version curV (whose bytes are cur, before transcoding). A memo entry is
+// served only while its version tag is curV; otherwise one caller per
+// (key, version) encodes while concurrent misses wait for its result, and
+// the entry is replaced unless a newer version got there first.
+func (s *Server) memoized(key encKey, impl codec.Codec, cur []byte, curV int) (memoEntry, error) {
+	if e, ok := s.memoLookup(key, curV); ok {
+		s.memoHits.Add(1)
+		return e, nil
+	}
+	encoded := false
+	e, err, _ := s.memoFlight.Do(memoFlightKey{key: key, version: curV}, func() (memoEntry, error) {
+		// A flight for this version may have landed between the lookup
+		// above and Do.
+		if e, ok := s.memoLookup(key, curV); ok {
+			return e, nil
+		}
+		s.mu.RLock()
+		tcur, err := s.transformLocked(key.transcoder, cur)
+		s.mu.RUnlock()
+		if err != nil {
+			return memoEntry{}, err
+		}
+		payload, err := impl.Encode(nil, tcur)
+		if err != nil {
+			return memoEntry{}, err
+		}
+		encoded = true
+		e := memoEntry{version: curV, payload: payload, contentBytes: int64(len(tcur))}
+		s.mu.Lock()
+		if prev, ok := s.memo[key]; !ok || prev.version < curV {
+			s.memo[key] = e
+		}
+		s.mu.Unlock()
+		return e, nil
+	})
+	if err != nil {
+		return memoEntry{}, err
+	}
+	if encoded {
+		s.reactive.Add(1)
+	} else {
+		s.memoHits.Add(1)
+	}
+	return e, nil
+}
+
+// memoLookup returns the memo entry for key if it encodes version v.
+func (s *Server) memoLookup(key encKey, v int) (memoEntry, bool) {
+	s.mu.RLock()
+	e, ok := s.memo[key]
+	s.mu.RUnlock()
+	return e, ok && e.version == v
+}
+
 // moduleOf strips a context suffix from a metadata PAD id.
 func moduleOf(metaID string) string {
 	if i := strings.IndexByte(metaID, '@'); i >= 0 {
@@ -531,6 +640,7 @@ func (s *Server) Stats() Stats {
 		Requests:       s.requests.Load(),
 		ReactiveEncod:  s.reactive.Load(),
 		PrecomputeHits: s.precompHits.Load(),
+		MemoHits:       s.memoHits.Load(),
 	}
 }
 

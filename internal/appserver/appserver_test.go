@@ -393,8 +393,10 @@ func TestINPServerSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("session did not survive in-band error: %v", err)
 	}
-	if st := s.Stats(); st.Requests < 2 {
-		t.Fatalf("requests = %d", st.Requests)
+	// The unknown-application request never reaches Encode; the repeat
+	// gzip request is served from the memo.
+	if st := s.Stats(); st.Requests != 2 || st.ReactiveEncod != 1 || st.MemoHits != 1 || !st.Accounted() {
+		t.Fatalf("stats %+v: want 2 requests = 1 encode + 1 memo hit", st)
 	}
 }
 

@@ -30,7 +30,9 @@ type Codec interface {
 	// Name returns the protocol's registry name.
 	Name() string
 	// Encode produces the downstream wire payload for cur given that the
-	// receiver holds old (nil when the receiver has nothing).
+	// receiver holds old (nil when the receiver has nothing). The payload
+	// is read-only: it may alias cur (Direct returns cur itself), and a
+	// server may hand the same payload to many receivers.
 	Encode(old, cur []byte) ([]byte, error)
 	// Decode reconstructs cur from the payload and the receiver's old
 	// version (nil when none was held).
@@ -43,6 +45,15 @@ type Codec interface {
 // harness.
 type UpstreamCoster interface {
 	UpstreamBytes(old []byte) int64
+}
+
+// OldIndependent is implemented by protocols whose Encode output depends
+// only on cur: every receiver of one content version gets the same bytes,
+// whatever it holds, so a server may encode each version once and serve
+// that payload to all of them (Direct and Gzip; the differencing
+// protocols are per-request).
+type OldIndependent interface {
+	IgnoresOld()
 }
 
 // CostModel is a protocol's computing overhead on the reference 500 MHz

@@ -448,3 +448,55 @@ func BenchmarkDecode(b *testing.B) {
 		})
 	}
 }
+
+// TestGzipDecodeSizes round-trips contents on both sides of the ISIZE
+// presize clamp, plus a two-member stream whose trailer names only the
+// last member, so a short reservation must still grow to the whole
+// output.
+func TestGzipDecodeSizes(t *testing.T) {
+	g := NewGzip()
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 511, 512, 4096, maxDecodeReserve - 1, maxDecodeReserve, maxDecodeReserve + 3000} {
+		cur := make([]byte, n)
+		rng.Read(cur[:n/2])
+		payload, err := g.Encode(nil, cur)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := g.Decode(nil, payload)
+		if err != nil || !bytes.Equal(got, cur) {
+			t.Fatalf("%d B: round trip failed (%d B, err %v)", n, len(got), err)
+		}
+	}
+	first, err := g.Encode(nil, bytes.Repeat([]byte("first member "), 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := g.Encode(nil, []byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := g.Decode(nil, append(append([]byte(nil), first...), second...))
+	if want := append(bytes.Repeat([]byte("first member "), 1000), "second"...); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("two-member stream: got %d B, err %v; want %d B", len(got), err, len(want))
+	}
+}
+
+// TestGzipDecodePresizedAllocs pins the ISIZE presize: decoding a 64 KiB
+// page reserves its output once instead of doubling up from 512 bytes.
+func TestGzipDecodePresizedAllocs(t *testing.T) {
+	g := NewGzip()
+	cur := bytes.Repeat([]byte("fractal adaptive content "), 64<<10/25)
+	payload, err := g.Encode(nil, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta := allocDelta(t, func() {
+		if _, err := g.Decode(nil, payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if delta > 2*uint64(len(cur))+64<<10 {
+		t.Fatalf("decoding %d B allocated %d B", len(cur), delta)
+	}
+}

@@ -15,10 +15,14 @@ func (*Direct) Name() string { return NameDirect }
 // Cost implements Costed: Direct performs no computation on either side.
 func (*Direct) Cost() CostModel { return CostModel{} }
 
-// Encode implements Codec: the payload is a copy of the current content.
+// Encode implements Codec: the payload is the current content itself,
+// not a copy (payloads are read-only, see Codec.Encode).
 func (*Direct) Encode(old, cur []byte) ([]byte, error) {
-	return append([]byte(nil), cur...), nil
+	return cur, nil
 }
+
+// IgnoresOld implements OldIndependent.
+func (*Direct) IgnoresOld() {}
 
 // Decode implements Codec.
 func (*Direct) Decode(old, payload []byte) ([]byte, error) {

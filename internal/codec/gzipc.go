@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -51,16 +52,35 @@ func (g *Gzip) Encode(old, cur []byte) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode implements Codec.
+// IgnoresOld implements OldIndependent.
+func (*Gzip) IgnoresOld() {}
+
+// Decode implements Codec. The output is sized up front from the gzip
+// ISIZE trailer (the uncompressed length mod 2^32), clamped to
+// maxDecodeReserve since the trailer is unvalidated until the stream ends;
+// one spare byte lets the final read see EOF without growing the buffer.
 func (g *Gzip) Decode(old, payload []byte) ([]byte, error) {
 	r, err := gzip.NewReader(bytes.NewReader(payload))
 	if err != nil {
 		return nil, fmt.Errorf("codec: gzip payload corrupt: %w", err)
 	}
 	defer r.Close()
-	out, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("codec: gzip decompress: %w", err)
+	reserve := uint64(binary.LittleEndian.Uint32(payload[len(payload)-4:])) + 1
+	if reserve > maxDecodeReserve {
+		reserve = maxDecodeReserve
 	}
-	return out, nil
+	out := make([]byte, 0, reserve)
+	for {
+		n, err := r.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("codec: gzip decompress: %w", err)
+		}
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+	}
 }

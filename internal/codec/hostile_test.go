@@ -94,3 +94,21 @@ func TestVaryBlockHostileLengthNoHugeAllocation(t *testing.T) {
 		t.Fatalf("decoding a truncated 2 GB-claiming varyblock payload allocated %d bytes", delta)
 	}
 }
+
+func TestGzipHostileTrailerNoHugeAllocation(t *testing.T) {
+	g := NewGzip()
+	payload, err := g.Encode(nil, []byte("tiny"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ISIZE claims 4 GB of content for a four-byte stream.
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], 0xFFFFFFFF)
+	delta := allocDelta(t, func() {
+		if _, err := g.Decode(nil, payload); err == nil {
+			t.Error("payload with a forged ISIZE decoded without error")
+		}
+	})
+	if delta > 4<<20 {
+		t.Fatalf("decoding a 4 GB-claiming gzip trailer allocated %d bytes", delta)
+	}
+}

@@ -221,7 +221,7 @@ func BenchmarkHistRecord(b *testing.B) {
 	h := NewHist()
 	b.ReportAllocs()
 	v := int64(1)
-	for b.Loop() {
+	for n := 0; n < b.N; n++ {
 		h.Record(v)
 		v = v*6364136223846793005 + 1442695040888963407
 		if v < 0 {

@@ -177,7 +177,7 @@ func BenchmarkEventQueueMillion(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for b.Loop() {
+	for k := 0; k < b.N; k++ {
 		q := NewEventQueue(n)
 		for i := 0; i < n; i++ {
 			q.Push(ats[i], int32(i))
@@ -197,7 +197,7 @@ func BenchmarkEventQueueSteadyState(b *testing.B) {
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for b.Loop() {
+	for k := 0; k < b.N; k++ {
 		at, id, _ := q.Pop()
 		q.Push(at+time.Millisecond, id)
 	}
